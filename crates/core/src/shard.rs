@@ -20,7 +20,7 @@ use std::collections::HashMap;
 
 use smarco_mem::dram::Dram;
 use smarco_mem::mact::{Batch, Mact, MactOutcome};
-use smarco_mem::map::AddressSpace;
+use smarco_mem::map::{channel_of, AddressSpace};
 use smarco_mem::request::{MemRequest, RequestId, RequestIdAllocator};
 use smarco_noc::backend::{build_hub_backend, build_sub_backend, Entry, NocBackend, NocEvent};
 use smarco_noc::direct::DirectSpoke;
@@ -140,6 +140,22 @@ fn min_horizon(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
     }
 }
 
+/// Ticks `noc` at `now`. With cycle skipping on, a backend with nothing
+/// due this cycle is not ticked: it is charged the cycle's idle capacity
+/// instead, which is exactly what an idle tick accumulates.
+fn tick_noc(
+    noc: &mut dyn NocBackend<ChipPayload>,
+    now: Cycle,
+    cycle_skip: bool,
+) -> Vec<NocEvent<ChipPayload>> {
+    if cycle_skip && noc.next_event(now).is_none_or(|t| t > now) {
+        noc.skip_idle(now, now + 1);
+        Vec::new()
+    } else {
+        noc.tick(now)
+    }
+}
+
 /// Where a sub-ring packet enters the ring — remembered across NACKed
 /// injection attempts so a retransmission re-enters at the same port.
 #[derive(Debug, Clone, Copy)]
@@ -182,6 +198,9 @@ pub struct SubShard {
     /// Whether packets carry consumer-derived criticality for the
     /// backend's arbitration (and MACT bypass for elevated traffic).
     criticality_routing: bool,
+    /// Whether cycle skipping is on, which lets an idle sub-ring go
+    /// unticked (see [`tick_noc`]).
+    cycle_skip: bool,
     cores: Vec<TcgCore>,
     noc: Box<dyn NocBackend<ChipPayload>>,
     mact: Mact,
@@ -244,6 +263,7 @@ impl SubShard {
             channels: config.dram.channels,
             mact_on: config.mact.is_some(),
             criticality_routing: config.noc.criticality_routing,
+            cycle_skip: config.cycle_skip,
             cores,
             noc: build_sub_backend(&config.noc, sr),
             mact,
@@ -391,10 +411,6 @@ impl SubShard {
             && self.to_mem.as_ref().is_none_or(DirectSpoke::is_idle)
             && self.retransmit.is_empty()
             && self.cores.iter().all(TcgCore::is_done)
-    }
-
-    fn channel_of(&self, addr: u64) -> usize {
-        ((addr / 4096) % self.channels as u64) as usize
     }
 
     fn packet(
@@ -570,7 +586,7 @@ impl SubShard {
         let dst = if mact_on {
             NodeId::Junction(self.sr)
         } else {
-            NodeId::MemCtrl(self.channel_of(r.mem.addr))
+            NodeId::MemCtrl(channel_of(r.mem.addr, self.channels))
         };
         let mut pkt = self.packet(NodeId::Core(core), dst, bytes, now, ChipPayload::Req(ucr));
         pkt.realtime = realtime;
@@ -603,7 +619,7 @@ impl SubShard {
                         } else {
                             REQ_HEADER_BYTES
                         };
-                        let dst = NodeId::MemCtrl(self.channel_of(req.mem.addr));
+                        let dst = NodeId::MemCtrl(channel_of(req.mem.addr, self.channels));
                         let ucr2 = UncoreReq { req, ..ucr };
                         let mut p = self.packet(
                             NodeId::Junction(sr),
@@ -768,7 +784,7 @@ impl SubShard {
             self.inject_sub(source, pkt, attempt, now, outbox);
         }
         // 2. Backend deliveries and junction boundary crossings.
-        for ev in self.noc.tick(now) {
+        for ev in tick_noc(self.noc.as_mut(), now, self.cycle_skip) {
             match ev {
                 NocEvent::Delivered(p) => self.handle_delivery(p, now, outbox),
                 NocEvent::Boundary(p) => {
@@ -809,7 +825,7 @@ impl SubShard {
             } else {
                 BATCH_HEADER_BYTES
             };
-            let dst = NodeId::MemCtrl(self.channel_of(batch.base));
+            let dst = NodeId::MemCtrl(channel_of(batch.base, self.channels));
             let mut p = self.packet(
                 NodeId::Junction(self.sr),
                 dst,
@@ -907,6 +923,9 @@ pub struct HubShard {
     jl: Cycle,
     cores_per_subring: usize,
     channels: usize,
+    /// Whether cycle skipping is on, which lets an idle main ring go
+    /// unticked (see [`tick_noc`]).
+    cycle_skip: bool,
     main: Box<dyn NocBackend<ChipPayload>>,
     dram: Dram<DramJob>,
     /// Memory-side direct-datapath spokes, one per sub-ring.
@@ -949,6 +968,7 @@ impl HubShard {
             jl: config.noc.boundary_latency(),
             cores_per_subring: config.noc.cores_per_subring,
             channels: config.dram.channels,
+            cycle_skip: config.cycle_skip,
             main: build_hub_backend(&config.noc),
             dram,
             from_mem: config
@@ -1036,10 +1056,6 @@ impl HubShard {
             && self.from_mem.iter().all(DirectSpoke::is_idle)
     }
 
-    fn channel_of(&self, addr: u64) -> usize {
-        ((addr / 4096) % self.channels as u64) as usize
-    }
-
     fn packet(
         &mut self,
         src: NodeId,
@@ -1076,7 +1092,7 @@ impl HubShard {
 
     fn enqueue_dram(&mut self, addr: u64, span: u64, job: DramJob, now: Cycle) {
         self.dram_requests += 1;
-        let channel = self.channel_of(addr);
+        let channel = channel_of(addr, self.channels);
         let channel = self.live_channel(channel, now);
         self.dram.enqueue(channel, span.max(1), now, job);
     }
@@ -1186,7 +1202,7 @@ impl HubShard {
             }
         }
         // 3. Main-ring deliveries and descents.
-        for ev in self.main.tick(now) {
+        for ev in tick_noc(self.main.as_mut(), now, self.cycle_skip) {
             self.on_main_event(ev, now, outbox);
         }
         // 4. DRAM completions produce replies.
@@ -1201,7 +1217,7 @@ impl HubShard {
                         self.from_mem[sr].send(u32::from(ucr.req.mem.bytes), ucr);
                     } else {
                         let p = self.packet(
-                            NodeId::MemCtrl(self.channel_of(ucr.req.mem.addr)),
+                            NodeId::MemCtrl(channel_of(ucr.req.mem.addr, self.channels)),
                             NodeId::Core(ucr.req.core),
                             u32::from(ucr.req.mem.bytes),
                             now,
@@ -1217,7 +1233,7 @@ impl HubShard {
                     let sr = batch.requests.first().map(|r| r.core).unwrap_or(0)
                         / self.cores_per_subring;
                     let p = self.packet(
-                        NodeId::MemCtrl(self.channel_of(batch.base)),
+                        NodeId::MemCtrl(channel_of(batch.base, self.channels)),
                         NodeId::Junction(sr),
                         batch.bytes_referenced.max(1),
                         now,

@@ -26,6 +26,17 @@ pub const SPM_BYTES: u64 = 128 << 10;
 /// space to act as control registers" for DMA source/dest/size).
 pub const SPM_CTRL_BYTES: u64 = 256;
 
+/// DDR interleave granularity: consecutive 4 KB blocks go to consecutive
+/// channels.
+const INTERLEAVE_BYTES: u64 = 4096;
+
+/// The DDR channel, of `channels`, that serves `addr`. The chip's one
+/// address-to-channel mapping: the address map, the sub-ring shards that
+/// route requests and the hub that queues them all call it.
+pub fn channel_of(addr: u64, channels: usize) -> usize {
+    ((addr / INTERLEAVE_BYTES) % channels as u64) as usize
+}
+
 /// Where an address lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
@@ -76,8 +87,6 @@ pub enum RangeClass {
 pub struct AddressSpace {
     cores: usize,
     channels: usize,
-    /// DDR interleave granularity in bytes.
-    interleave: u64,
 }
 
 impl AddressSpace {
@@ -94,11 +103,7 @@ impl AddressSpace {
     pub fn new(cores: usize, channels: usize) -> Self {
         assert!(cores > 0, "need at least one core");
         assert!(channels > 0, "need at least one DDR channel");
-        Self {
-            cores,
-            channels,
-            interleave: 4096,
-        }
+        Self { cores, channels }
     }
 
     /// Number of cores.
@@ -125,7 +130,7 @@ impl AddressSpace {
     pub fn classify(&self, addr: u64) -> Region {
         if addr < DRAM_BYTES {
             return Region::Dram {
-                channel: ((addr / self.interleave) % self.channels as u64) as usize,
+                channel: channel_of(addr, self.channels),
             };
         }
         if addr >= SPM_BASE {
@@ -210,6 +215,10 @@ mod tests {
         assert_eq!(a.classify(4096), Region::Dram { channel: 1 });
         assert_eq!(a.classify(4096 * 5), Region::Dram { channel: 1 });
         assert_eq!(a.dram_channel(4096 * 2 + 17), 2);
+        // The address map and the shards share one mapping.
+        for addr in [0, 4095, 4096, 4096 * 7 + 9, 1 << 30] {
+            assert_eq!(a.dram_channel(addr), channel_of(addr, 4));
+        }
     }
 
     #[test]

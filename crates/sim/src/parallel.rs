@@ -264,11 +264,15 @@ impl<M> Exchange<M> {
     /// the flag *before* taking the envelopes pairs with `publish` setting
     /// it *after* pushing: an envelope can be momentarily covered by a
     /// stale `true` (harmless extra lock next window) but never sit in a
-    /// slot whose flag reads `false`.
+    /// slot whose flag reads `false`. A plain load screens each flag
+    /// first, so an empty row costs `n` loads instead of `n` locked
+    /// exchanges; a publish it misses is one the barrier makes visible
+    /// next window, which is still before the envelope can come due.
     fn drain_row(&self, to: usize, inbox: &mut Inbox<M>) {
         for from in 0..self.n {
             let slot = &self.slots[to * self.n + from].0;
-            if slot.nonempty.swap(false, MemOrder::Acquire) {
+            if slot.nonempty.load(MemOrder::Relaxed) && slot.nonempty.swap(false, MemOrder::Acquire)
+            {
                 let mut guard = slot.envelopes.lock().expect("mail slot lock");
                 inbox.push_all(guard.drain(..));
             }
@@ -354,6 +358,14 @@ pub trait Shard: Send {
     /// skipping); returning a *later* cycle breaks bit-identity. The
     /// default, `Some(now)`, declares the shard permanently active and
     /// opts it out of cycle skipping entirely.
+    ///
+    /// The engine evaluates the horizon once after each window the shard
+    /// steps (and once at the start of each run) and caches it across the
+    /// windows it then skips. That relies on a stability rule: a horizon
+    /// at or past a skipped range's end is still the horizon after
+    /// [`skip_window`](Self::skip_window) applies that range. Debug
+    /// builds recompute the horizon after every applied skip and assert
+    /// it equals the cache.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
@@ -365,6 +377,12 @@ pub trait Shard: Send {
     /// idle-counter bookkeeping) and must not emit messages. The default
     /// does nothing, matching the default always-active horizon (which
     /// guarantees this is never called).
+    ///
+    /// Skips must be additive: `skip_window(a, b)` then
+    /// `skip_window(b, c)` leaves the same state as `skip_window(a, c)`.
+    /// The engine relies on it to apply an unbroken run of skipped
+    /// windows as one call, just before the shard next steps or before
+    /// the run returns, so the state is settled whenever it is read.
     fn skip_window(&mut self, from: Cycle, to: Cycle) {
         let _ = (from, to);
     }
@@ -375,37 +393,70 @@ pub trait Shard: Send {
 /// by shard index. The slab is exclusively owned (`&mut`, no lock): only
 /// the lane's current worker touches it, and it persists in the engine so
 /// steady-state windows allocate nothing.
+///
+/// A lane lives for one `run_windowed` call, and a quiet shard costs it
+/// O(1) per window: `horizon` caches the shard's own
+/// [`Shard::next_event`] (evaluated at the call's start and after each
+/// window the lane steps), and the windows it skips are not applied one
+/// by one but accumulate as the pending range `[settled, now)`, applied
+/// by [`settle`](Self::settle).
 struct Lane<'a, S: Shard> {
     i: usize,
     shard: &'a mut S,
     inbox: &'a mut Inbox<S::Msg>,
     seq: &'a mut u64,
     slab: &'a mut Vec<Envelope<S::Msg>>,
+    /// The shard's own horizon, `u64::MAX` for `None`.
+    horizon: u64,
+    /// Cycle up to which the shard's state is settled.
+    settled: Cycle,
 }
 
-/// Earliest cycle at which `lane` can possibly act at or after `now`:
-/// the shard's own horizon or its earliest undelivered message, whichever
-/// comes first. `u64::MAX` encodes "never without new input".
-fn lane_horizon<S: Shard>(lane: &Lane<'_, S>, now: Cycle) -> u64 {
-    let shard = lane.shard.next_event(now).unwrap_or(u64::MAX);
-    let inbox = lane.inbox.next_due().unwrap_or(u64::MAX);
-    shard.min(inbox)
+impl<S: Shard> Lane<'_, S> {
+    /// Earliest cycle at which the lane can possibly act: the shard's
+    /// cached horizon or its earliest undelivered message, whichever comes
+    /// first. `u64::MAX` encodes "never without new input".
+    fn horizon(&self) -> u64 {
+        self.horizon.min(self.inbox.next_due().unwrap_or(u64::MAX))
+    }
+
+    /// Applies the pending skipped range `[settled, now)` as one
+    /// [`Shard::skip_window`], returning the nanoseconds it took when
+    /// `timed` (0 when nothing was pending or untimed).
+    fn settle(&mut self, now: Cycle, timed: bool) -> u64 {
+        if self.settled >= now {
+            return 0;
+        }
+        let t0 = timed.then(Instant::now);
+        self.shard.skip_window(self.settled, now);
+        debug_assert_eq!(
+            self.shard.next_event(now).unwrap_or(u64::MAX),
+            self.horizon,
+            "shard {}'s horizon moved across the skipped range [{}, {now})",
+            self.i,
+            self.settled
+        );
+        self.settled = now;
+        t0.map_or(0, ns_since)
+    }
 }
 
-/// What one shard's window step did: whether it fast-forwarded, the
-/// earliest due-cycle it published this window (`u64::MAX` when nothing),
-/// and how many envelopes it published. The caller folds these into the
+/// What one shard's window step did: whether it skipped, the nanoseconds
+/// spent applying its pending skip range before stepping, the earliest
+/// due-cycle it published this window (`u64::MAX` when nothing), and how
+/// many envelopes it published. The caller folds these into the
 /// whole-run fast-forward decision and the exchange telemetry.
 struct StepOutcome {
     skipped: bool,
+    settle_ns: u64,
     routed_due: u64,
     routed: u64,
 }
 
 /// One shard's window: drain the lane's mailbox row into the inbox, then
-/// either fast-forward (when the shard's horizon and inbox both clear the
-/// window) or run the model and publish the produced envelopes straight
-/// into the exchange.
+/// either skip (when the shard's horizon and inbox both clear the window)
+/// or settle the pending skip range, run the model, refresh the cached
+/// horizon and publish the produced envelopes straight into the exchange.
 fn window_step<S: Shard>(
     lane: &mut Lane<'_, S>,
     from: Cycle,
@@ -413,23 +464,30 @@ fn window_step<S: Shard>(
     exchange: &Exchange<S::Msg>,
     skip: bool,
     contract: Option<&ContractCheck<S::Msg>>,
+    timed: bool,
 ) -> StepOutcome {
     exchange.drain_row(lane.i, lane.inbox);
-    if skip && lane_horizon(lane, from) >= to {
-        // Nothing can happen in [from, to): skip the per-cycle loop. No
-        // outbox is created — a quiescent shard emits nothing, so the
-        // sequence counter is untouched and delivery order is unchanged.
-        lane.shard.skip_window(from, to);
+    if skip && lane.horizon() >= to {
+        // Nothing can happen in [from, to): the window joins the lane's
+        // pending skip range. No outbox is created — a quiescent shard
+        // emits nothing, so the sequence counter is untouched and
+        // delivery order is unchanged.
         return StepOutcome {
             skipped: true,
+            settle_ns: 0,
             routed_due: u64::MAX,
             routed: 0,
         };
     }
+    let settle_ns = lane.settle(from, timed);
     let buf = std::mem::take(lane.slab);
     let mut outbox = Outbox::new(lane.i, to, *lane.seq, buf);
     lane.shard.run_window(from, to, lane.inbox, &mut outbox);
     *lane.seq = outbox.next_seq;
+    lane.settled = to;
+    if skip {
+        lane.horizon = lane.shard.next_event(to).unwrap_or(u64::MAX);
+    }
     // Debug-build horizon cross-check: every envelope emitted this window
     // must respect the statically derived contract — reachable pair, and
     // timestamp no earlier than window start + the pair/class floor. This
@@ -465,8 +523,66 @@ fn window_step<S: Shard>(
     *lane.slab = outbox.envelopes;
     StepOutcome {
         skipped: false,
+        settle_ns,
         routed_due,
         routed,
+    }
+}
+
+/// Charges one lane's window to a worker's profile: a skipped window to
+/// the skip phase; a stepped one to the step phase, less the time its
+/// pending skip range took to apply, which goes to the skip phase. On
+/// sampled windows the whole interval also becomes a timeline slice.
+fn charge_lane(
+    scratch: &mut WorkerScratch,
+    i: usize,
+    out: &StepOutcome,
+    epoch: Instant,
+    t0: Instant,
+    sampled: bool,
+) {
+    let ns = ns_since(t0);
+    let sp = &mut scratch.shards[i];
+    let phase = if out.skipped {
+        sp.skip_ns += ns;
+        sp.windows_skipped += 1;
+        scratch.prof.skip_ns += ns;
+        HostPhase::Skip
+    } else {
+        let step_ns = ns.saturating_sub(out.settle_ns);
+        let settle_ns = ns - step_ns;
+        sp.step_ns += step_ns;
+        sp.skip_ns += settle_ns;
+        sp.windows_stepped += 1;
+        scratch.prof.step_ns += step_ns;
+        scratch.prof.skip_ns += settle_ns;
+        HostPhase::Step
+    };
+    if sampled {
+        scratch.slices.push(HostSlice {
+            track: HostTrack::Shard(i),
+            phase,
+            start_ns: ns_between(epoch, t0),
+            dur_ns: ns,
+        });
+    }
+}
+
+/// Applies every lane's pending skip range up to `end`, so the shards'
+/// statistics are settled when the run returns, charging the time to the
+/// skip phase when profiling.
+fn settle_lanes<S: Shard>(
+    lanes: &mut [Lane<'_, S>],
+    end: Cycle,
+    mut scratch: Option<&mut WorkerScratch>,
+) {
+    let timed = scratch.is_some();
+    for lane in lanes {
+        let ns = lane.settle(end, timed);
+        if let Some(scratch) = scratch.as_deref_mut() {
+            scratch.shards[lane.i].skip_ns += ns;
+            scratch.prof.skip_ns += ns;
+        }
     }
 }
 
@@ -561,13 +677,19 @@ impl SpinBarrier {
 /// With cycle skipping enabled (the default), the engine additionally
 /// exploits each shard's [`Shard::next_event`] horizon at two levels:
 /// within a window, a shard whose horizon and inbox both clear the window
-/// end fast-forwards via [`Shard::skip_window`] instead of stepping; and
-/// at window boundaries, when *every* shard's horizon, every undelivered
-/// inbox message, and every just-routed envelope lie beyond the boundary,
-/// the clock jumps straight to the earliest of them (clamped to the run
-/// end). Both are provably result-neutral: absolute timestamps and the
-/// `(at, from, seq)` delivery order mean a cycle nobody acts in is
-/// indistinguishable from a cycle that was never stepped.
+/// end skips it instead of stepping; and at window boundaries, when
+/// *every* shard's horizon, every undelivered inbox message, and every
+/// just-routed envelope lie beyond the boundary, the clock jumps straight
+/// to the earliest of them (clamped to the run end). Both are provably
+/// result-neutral: absolute timestamps and the `(at, from, seq)` delivery
+/// order mean a cycle nobody acts in is indistinguishable from a cycle
+/// that was never stepped.
+///
+/// A quiet shard costs O(1) per window. Its horizon is evaluated only
+/// after it steps and is cached across the windows it skips, and an
+/// unbroken run of skipped windows and jumps reaches the shard as one
+/// [`Shard::skip_window`] call, made just before it next steps or before
+/// the run returns. The [`Shard`] docs state the two rules this needs.
 #[derive(Debug)]
 pub struct ParallelEngine<S: Shard> {
     shards: Vec<S>,
@@ -831,6 +953,8 @@ impl<S: Shard> ParallelEngine<S> {
         let base_windows = prof.as_ref().map_or(0, |p| p.telemetry().windows);
         let env_bytes = std::mem::size_of::<Envelope<S::Msg>>() as u64;
 
+        // The facade may have changed any shard since the last call, so
+        // every cached horizon starts fresh.
         let mut lanes: Vec<Lane<'_, S>> = shards
             .iter_mut()
             .zip(inboxes.iter_mut())
@@ -839,12 +963,19 @@ impl<S: Shard> ParallelEngine<S> {
             .enumerate()
             .map(|(i, (((shard, inbox), seq), slab))| Lane {
                 i,
+                horizon: if skip {
+                    shard.next_event(start).unwrap_or(u64::MAX)
+                } else {
+                    u64::MAX
+                },
+                settled: start,
                 shard,
                 inbox,
                 seq,
                 slab,
             })
             .collect();
+        let timed = epoch.is_some();
         let (mut stepped, mut skipped) = (0u64, 0u64);
         let mut windows_here = 0u64;
         if workers == 1 {
@@ -860,38 +991,17 @@ impl<S: Shard> ParallelEngine<S> {
                 let (mut win_due, mut win_routed) = (u64::MAX, 0u64);
                 for lane in &mut lanes {
                     let t0 = epoch.map(|_| Instant::now());
-                    let out = window_step(lane, now, to, exchange, skip, contract);
-                    let was_skipped = out.skipped;
+                    let out = window_step(lane, now, to, exchange, skip, contract, timed);
                     win_due = win_due.min(out.routed_due);
                     win_routed += out.routed;
-                    if was_skipped {
+                    if out.skipped {
                         skipped += to - now;
                     } else {
                         stepped += to - now;
                         stepped_lanes += 1;
                     }
                     if let (Some(epoch), Some(scratch), Some(t0)) = (epoch, scratch.as_mut(), t0) {
-                        let ns = ns_since(t0);
-                        let sp = &mut scratch.shards[lane.i];
-                        let phase = if was_skipped {
-                            sp.skip_ns += ns;
-                            sp.windows_skipped += 1;
-                            scratch.prof.skip_ns += ns;
-                            HostPhase::Skip
-                        } else {
-                            sp.step_ns += ns;
-                            sp.windows_stepped += 1;
-                            scratch.prof.step_ns += ns;
-                            HostPhase::Step
-                        };
-                        if sampled {
-                            scratch.slices.push(HostSlice {
-                                track: HostTrack::Shard(lane.i),
-                                phase,
-                                start_ns: ns_between(epoch, t0),
-                                dur_ns: ns,
-                            });
-                        }
+                        charge_lane(scratch, lane.i, &out, epoch, t0, sampled);
                     }
                 }
                 // Envelopes were already published lane-by-lane; the old
@@ -923,21 +1033,15 @@ impl<S: Shard> ParallelEngine<S> {
                     // undelivered message, and every just-published
                     // envelope is beyond `now`, jump straight to the
                     // earliest of them instead of grinding out empty
-                    // windows.
+                    // windows. Every lane's pending skip range just
+                    // extends to the new `now`.
                     let t_skip = epoch.map(|_| Instant::now());
-                    let mut h = win_due;
-                    for lane in &lanes {
-                        h = h.min(lane_horizon(lane, now));
-                    }
-                    let mut jumped = false;
-                    if h > now {
+                    let h = lanes.iter().map(Lane::horizon).fold(win_due, u64::min);
+                    let jumped = h > now;
+                    if jumped {
                         let jump = h.min(end);
-                        for lane in &mut lanes {
-                            lane.shard.skip_window(now, jump);
-                        }
                         skipped += (jump - now) * n as u64;
                         now = jump;
-                        jumped = true;
                     }
                     if let (Some(scratch), Some(tel), Some(t0)) =
                         (scratch.as_mut(), tel.as_mut(), t_skip)
@@ -949,6 +1053,7 @@ impl<S: Shard> ParallelEngine<S> {
                     }
                 }
             }
+            settle_lanes(&mut lanes, end, scratch.as_mut());
             if let (Some(p), Some(mut scratch), Some(tel), Some(t0)) = (prof, scratch, tel, t_busy)
             {
                 scratch.prof.busy_ns = ns_since(t0);
@@ -1008,11 +1113,11 @@ impl<S: Shard> ParallelEngine<S> {
                             let (mut win_due, mut win_routed) = (u64::MAX, 0u64);
                             for lane in group.iter_mut() {
                                 let t0 = epoch.map(|_| Instant::now());
-                                let out = window_step(lane, now, to, exchange, skip, contract);
-                                let was_skipped = out.skipped;
+                                let out =
+                                    window_step(lane, now, to, exchange, skip, contract, timed);
                                 win_due = win_due.min(out.routed_due);
                                 win_routed += out.routed;
-                                if was_skipped {
+                                if out.skipped {
                                     skipped += to - now;
                                 } else {
                                     stepped += to - now;
@@ -1021,27 +1126,7 @@ impl<S: Shard> ParallelEngine<S> {
                                 if let (Some(epoch), Some(scratch), Some(t0)) =
                                     (epoch, scratch.as_mut(), t0)
                                 {
-                                    let ns = ns_since(t0);
-                                    let sp = &mut scratch.shards[lane.i];
-                                    let phase = if was_skipped {
-                                        sp.skip_ns += ns;
-                                        sp.windows_skipped += 1;
-                                        scratch.prof.skip_ns += ns;
-                                        HostPhase::Skip
-                                    } else {
-                                        sp.step_ns += ns;
-                                        sp.windows_stepped += 1;
-                                        scratch.prof.step_ns += ns;
-                                        HostPhase::Step
-                                    };
-                                    if sampled {
-                                        scratch.slices.push(HostSlice {
-                                            track: HostTrack::Shard(lane.i),
-                                            phase,
-                                            start_ns: ns_between(epoch, t0),
-                                            dur_ns: ns,
-                                        });
-                                    }
+                                    charge_lane(scratch, lane.i, &out, epoch, t0, sampled);
                                 }
                             }
                             if skip {
@@ -1050,10 +1135,7 @@ impl<S: Shard> ParallelEngine<S> {
                                 // every worker knows its own publishes,
                                 // so no serial routing pass is needed to
                                 // see the full minimum.
-                                let mut h = win_due;
-                                for lane in group.iter() {
-                                    h = h.min(lane_horizon(lane, to));
-                                }
+                                let h = group.iter().map(Lane::horizon).fold(win_due, u64::min);
                                 horizon.0.fetch_min(h, MemOrder::AcqRel);
                             }
                             if epoch.is_some() && win_routed > 0 {
@@ -1140,21 +1222,17 @@ impl<S: Shard> ParallelEngine<S> {
                             now = to;
                             if skip {
                                 // The barrier release orders this load
-                                // after the serial section's store.
+                                // after the serial section's store. The
+                                // group's pending skip ranges just extend
+                                // to the jump target.
                                 let jump = jump_to.0.load(MemOrder::Relaxed);
                                 if jump > now {
-                                    let t0 = epoch.map(|_| Instant::now());
-                                    for lane in group.iter_mut() {
-                                        lane.shard.skip_window(now, jump);
-                                        skipped += jump - now;
-                                    }
-                                    if let (Some(scratch), Some(t0)) = (scratch.as_mut(), t0) {
-                                        scratch.prof.skip_ns += ns_since(t0);
-                                    }
+                                    skipped += (jump - now) * group.len() as u64;
                                     now = jump;
                                 }
                             }
                         }
+                        settle_lanes(group, end, scratch.as_mut());
                         stepped_total.0.fetch_add(stepped, MemOrder::Relaxed);
                         skipped_total.0.fetch_add(skipped, MemOrder::Relaxed);
                         if w == 0 {
@@ -1551,6 +1629,132 @@ mod tests {
             assert_eq!(eng.now(), base.now());
             assert_eq!(eng.pending_messages(), base.pending_messages());
         }
+    }
+
+    /// A [`Sleeper`] that logs how the engine drives it: the windows it
+    /// steps, the ranges it skips, and how often its horizon is asked
+    /// for. A `busy` one declares itself always active, so the clock
+    /// never jumps and every window reaches the quiet ones.
+    struct Counted {
+        sleeper: Sleeper,
+        busy: bool,
+        steps: Vec<(Cycle, Cycle)>,
+        skips: Vec<(Cycle, Cycle)>,
+        horizon_calls: std::cell::Cell<u64>,
+    }
+
+    impl Shard for Counted {
+        type Msg = u64;
+
+        fn run_window(
+            &mut self,
+            from: Cycle,
+            to: Cycle,
+            inbox: &mut Inbox<u64>,
+            outbox: &mut Outbox<u64>,
+        ) {
+            self.steps.push((from, to));
+            self.sleeper.run_window(from, to, inbox, outbox);
+        }
+
+        fn next_event(&self, now: Cycle) -> Option<Cycle> {
+            self.horizon_calls.set(self.horizon_calls.get() + 1);
+            if self.busy {
+                Some(now)
+            } else {
+                self.sleeper.next_event(now)
+            }
+        }
+
+        fn skip_window(&mut self, from: Cycle, to: Cycle) {
+            self.skips.push((from, to));
+            self.sleeper.skip_window(from, to);
+        }
+    }
+
+    #[test]
+    fn quiet_shards_cost_o1_per_window() {
+        let cycles = 5_000;
+        let mut base = ParallelEngine::new(make_sleepers(6, 64), 2);
+        base.set_skip_enabled(false);
+        base.run_sequential(cycles);
+        for workers in [1, 2, 4] {
+            let shards = make_sleepers(6, 64)
+                .into_iter()
+                .map(|sleeper| Counted {
+                    busy: sleeper.id == 0,
+                    sleeper,
+                    steps: Vec::new(),
+                    skips: Vec::new(),
+                    horizon_calls: std::cell::Cell::new(0),
+                })
+                .collect();
+            let mut eng = ParallelEngine::new(shards, 2);
+            eng.run_windowed(cycles, workers);
+            assert_eq!(
+                eng.windows(),
+                cycles / 2,
+                "the busy shard sees every window"
+            );
+            for (s, b) in eng.shards().iter().zip(base.shards()) {
+                let id = s.sleeper.id;
+                assert_eq!(s.sleeper.acc, b.acc, "{workers} workers, shard {id}");
+                assert_eq!(s.sleeper.log, b.log, "{workers} workers, shard {id}");
+                assert_eq!(
+                    s.sleeper.idle_cycles, b.idle_cycles,
+                    "{workers} workers, shard {id}"
+                );
+                // Stepped windows and skipped ranges tile the run, and no
+                // two skipped ranges touch: each unbroken run of skipped
+                // windows reached the shard as one call.
+                let mut spans: Vec<(Cycle, Cycle, bool)> =
+                    s.steps.iter().map(|&(f, t)| (f, t, false)).collect();
+                spans.extend(s.skips.iter().map(|&(f, t)| (f, t, true)));
+                spans.sort_unstable();
+                let mut at = 0;
+                for (i, &(from, to, skipped)) in spans.iter().enumerate() {
+                    assert_eq!(from, at, "{workers} workers, shard {id}: gap or overlap");
+                    assert!(
+                        !(skipped && i > 0 && spans[i - 1].2),
+                        "{workers} workers, shard {id}: adjacent skips at {from}"
+                    );
+                    at = to;
+                }
+                assert_eq!(at, cycles);
+                // One horizon per run start and per step, plus one debug
+                // recheck per applied skip range: never one per window.
+                let (steps, runs) = (s.steps.len() as u64, s.skips.len() as u64);
+                assert!(
+                    s.horizon_calls.get() <= 1 + steps + runs,
+                    "{workers} workers, shard {id}: {} horizon calls for {steps} steps and \
+                     {runs} skip ranges",
+                    s.horizon_calls.get()
+                );
+                if id != 0 {
+                    assert!(
+                        8 * (steps + runs) < eng.windows(),
+                        "shard {id} is not quiet"
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "horizon moved across the skipped range")]
+    fn a_horizon_that_drifts_across_a_skip_panics_in_debug() {
+        // A horizon always ten cycles out breaks the stability rule the
+        // cache relies on: after skipping to `t` it reads `t + 10`.
+        struct Drifter;
+        impl Shard for Drifter {
+            type Msg = ();
+            fn run_window(&mut self, _: Cycle, _: Cycle, _: &mut Inbox<()>, _: &mut Outbox<()>) {}
+            fn next_event(&self, now: Cycle) -> Option<Cycle> {
+                Some(now + 10)
+            }
+        }
+        ParallelEngine::new(vec![Drifter], 2).run_sequential(100);
     }
 
     #[test]

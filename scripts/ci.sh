@@ -23,6 +23,11 @@ cargo build --offline --release --workspace
 echo "==> cargo test"
 cargo test --offline -q --workspace
 
+echo "==> perf benchmark tests (perfbench/ is a package of its own, outside"
+echo "    the workspace; its smoke test checks on all five workloads that two"
+echo "    workers and tracing reproduce the reference reports)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> parallel determinism (sharded chip vs sequential, all benchmarks)"
 cargo test --offline -q --test parallel_determinism
 
