@@ -12,7 +12,6 @@ use smarco_noc::link::LinkConfig;
 use smarco_noc::traffic::{Pattern, SizeMix, Testbench, TrafficConfig};
 use smarco_noc::NocConfig;
 use smarco_sched::{run_tasks, LaxityAwareScheduler, Task};
-use smarco_sim::engine::CycleModel;
 use smarco_sim::rng::SimRng;
 
 fn bench_cache() {
@@ -67,10 +66,8 @@ fn bench_chip_tick() {
             );
         }
     }
-    let mut now = 0;
     bench("chip_tiny_tick", || {
-        sys.tick(now);
-        now += 1;
+        sys.advance_until(sys.now() + 1);
     });
 }
 

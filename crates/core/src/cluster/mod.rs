@@ -23,7 +23,7 @@
 //! for any inner worker count (PR 3), the outer engine is bit-identical
 //! for any outer worker count, and the traffic stream is a pure function
 //! of its seed — so a [`ClusterReport`] is reproducible across workers ×
-//! cycle-skip × chaos plans, which `tests/rack_determinism.rs` enforces.
+//! cycle-skip × chaos plans, which `tests/equivalence.rs` enforces.
 
 mod balancer;
 mod node;
@@ -328,7 +328,7 @@ impl ClusterBuilder {
 
     /// Injects `plan`'s faults into chip `chip` (repeatable; the last
     /// plan per chip wins). The cluster stays bit-identical across worker
-    /// counts under chaos — the determinism suite runs exactly this.
+    /// counts under chaos — `tests/equivalence.rs` runs exactly this.
     ///
     /// ```
     /// use smarco_core::cluster::Cluster;
@@ -537,13 +537,11 @@ mod tests {
         TrafficProfile::poisson(seed, 8.0).requests(60).slo(40_000)
     }
 
-    fn run_cluster(policy: BalancePolicy, workers: usize, skip: bool) -> ClusterReport {
+    fn run_cluster(policy: BalancePolicy) -> ClusterReport {
         Cluster::builder()
             .chips(3)
             .traffic(small_traffic(21))
             .policy(policy)
-            .workers(workers)
-            .cycle_skip(skip)
             .build()
             .unwrap()
             .run(5_000_000)
@@ -552,7 +550,7 @@ mod tests {
     #[test]
     fn cluster_serves_every_request() {
         for policy in BalancePolicy::ALL {
-            let r = run_cluster(policy, 1, true);
+            let r = run_cluster(policy);
             assert_eq!(r.offered, 60, "{}", policy.name());
             assert_eq!(r.completed, 60, "{}", policy.name());
             assert_eq!(r.latency.count(), 60);
@@ -564,17 +562,8 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_bit_identical_across_workers_and_skip() {
-        let base = run_cluster(BalancePolicy::LaxityAware, 1, true);
-        for (workers, skip) in [(4, true), (1, false), (4, false)] {
-            let other = run_cluster(BalancePolicy::LaxityAware, workers, skip);
-            assert_eq!(base, other, "workers={workers} skip={skip} diverged");
-        }
-    }
-
-    #[test]
     fn round_robin_spreads_requests_across_chips() {
-        let r = run_cluster(BalancePolicy::RoundRobin, 1, true);
+        let r = run_cluster(BalancePolicy::RoundRobin);
         let busy = r.chips.iter().filter(|c| c.instructions > 0).count();
         assert_eq!(busy, 3, "round-robin must touch every chip");
     }
@@ -611,20 +600,14 @@ mod tests {
     }
 
     #[test]
-    fn chaos_on_one_chip_stays_deterministic_and_contained() {
-        let build = |workers: usize| {
-            Cluster::builder()
-                .chips(2)
-                .traffic(small_traffic(5))
-                .fault_plan(1, FaultPlan::chaos(42, &SmarcoConfig::tiny()))
-                .workers(workers)
-                .build()
-                .unwrap()
-                .run(5_000_000)
-        };
-        let a = build(1);
-        let b = build(4);
-        assert_eq!(a, b);
+    fn chaos_on_one_chip_stays_contained() {
+        let a = Cluster::builder()
+            .chips(2)
+            .traffic(small_traffic(5))
+            .fault_plan(1, FaultPlan::chaos(42, &SmarcoConfig::tiny()))
+            .build()
+            .unwrap()
+            .run(5_000_000);
         assert!(!a.is_clean(), "chaos must actually bite");
         assert!(
             a.chips[0].degradation.is_clean(),

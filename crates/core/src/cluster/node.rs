@@ -10,8 +10,8 @@
 //! messages one fabric hop later. Because every chip is already
 //! bit-identical for any inner worker count, and the outer engine is
 //! bit-identical for any outer worker count, the cluster's reports are
-//! reproducible across the full worker × cycle-skip matrix — the
-//! determinism suite proves it, chaos plans included.
+//! reproducible across the full worker × cycle-skip matrix —
+//! `tests/equivalence.rs` proves it, chaos plans included.
 
 use smarco_sim::parallel::{Inbox, Outbox, Shard};
 use smarco_sim::stats::Percentiles;

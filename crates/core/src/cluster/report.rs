@@ -3,7 +3,7 @@
 //!
 //! The report derives `PartialEq` end-to-end — latency histogram, SLO
 //! counters, and per-chip reports — so "bit-identical across workers ×
-//! cycle-skip × chaos" is a single `assert_eq!` in the determinism suite.
+//! cycle-skip × chaos" is a single `assert_eq!` in `tests/equivalence.rs`.
 
 use smarco_sim::stats::Percentiles;
 use smarco_sim::Cycle;

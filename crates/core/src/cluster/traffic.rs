@@ -13,8 +13,8 @@
 //! Everything is driven by one [`SimRng`] stream through inverse-CDF
 //! sampling, so a `(seed, profile)` pair always generates the identical
 //! request sequence: same count, same arrival cycles, same sizes. The
-//! determinism suite pins this down, and the cluster's bit-identical
-//! guarantee inherits from it.
+//! `same_seed_same_stream` test pins this down, and the cluster's
+//! bit-identical guarantee inherits from it.
 
 use smarco_sim::rng::SimRng;
 use smarco_sim::Cycle;
@@ -371,11 +371,15 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream() {
-        let p = TrafficProfile::poisson(7, 3.0).requests(500);
-        let a: Vec<_> = p.stream().collect();
-        let b: Vec<_> = p.stream().collect();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 500);
+        for p in [
+            TrafficProfile::poisson(7, 3.0).requests(500),
+            TrafficProfile::diurnal(97, 1.0, 6.0, 40_000).requests(500),
+        ] {
+            let a: Vec<_> = p.stream().collect();
+            let b: Vec<_> = p.stream().collect();
+            assert_eq!(a, b);
+            assert_eq!(a.len(), 500);
+        }
     }
 
     #[test]

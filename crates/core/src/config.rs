@@ -140,7 +140,7 @@ pub struct SmarcoConfig {
     /// Event-horizon cycle skipping: quiescent shards fast-forward past
     /// idle stretches instead of stepping them cycle by cycle. Results are
     /// bit-identical either way (the off switch exists for debugging and
-    /// for the determinism suite's cross-checks).
+    /// for `tests/equivalence.rs`, whose canonical runs keep it off).
     pub cycle_skip: bool,
     /// Fault-injection plan; `None` (and the zero plan) model a healthy
     /// chip. Usually set through

@@ -14,7 +14,7 @@
 //! and the `(timestamp, sender, sequence)`-ordered inbox, and every
 //! message carries an absolute delivery cycle fixed at emission. Parallel
 //! and sequential window execution therefore produce bit-identical chips —
-//! the property `tests/parallel_determinism.rs` locks in.
+//! the property `tests/equivalence.rs` locks in.
 
 use std::collections::HashMap;
 

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod contract;
-pub mod engine;
 pub mod event;
 pub mod obs;
 pub mod parallel;

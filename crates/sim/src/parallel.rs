@@ -20,8 +20,9 @@
 //! thread interleaving and the order envelopes happen to arrive in. The
 //! sequence counters live in the engine and persist across windows, so the
 //! order is total across the whole run, not just within one window.
-//! Results are therefore identical for any worker count, which
-//! [`ParallelEngine::run_sequential`] exists to verify.
+//! Results are therefore identical for any worker count, so
+//! [`ParallelEngine::run_windowed`] with one worker is the reference every
+//! multi-worker run is checked against.
 //!
 //! A second property falls out of absolute timestamps: the window length
 //! never affects results, only synchronization frequency. Any window no
@@ -901,20 +902,6 @@ impl<S: Shard> ParallelEngine<S> {
         self.inboxes.iter().map(Inbox::len).sum()
     }
 
-    /// Runs `cycles` further cycles with one persistent worker thread per
-    /// shard; equivalent to [`run_windowed`](Self::run_windowed) with as
-    /// many workers as shards.
-    pub fn run_parallel(&mut self, cycles: Cycle) {
-        self.run_windowed(cycles, self.shards.len());
-    }
-
-    /// Runs `cycles` further cycles on the calling thread with identical
-    /// results; the single-worker degenerate case of
-    /// [`run_windowed`](Self::run_windowed).
-    pub fn run_sequential(&mut self, cycles: Cycle) {
-        self.run_windowed(cycles, 1);
-    }
-
     /// The windowing core: advances all shards by `cycles` using up to
     /// `workers` host threads (clamped to `1..=shards`). One worker runs
     /// inline on the calling thread with no synchronization; more workers
@@ -1325,7 +1312,7 @@ mod tests {
     #[test]
     fn every_worker_count_matches_sequential() {
         let mut seq = ParallelEngine::new(make_ring(8), 4);
-        seq.run_sequential(1000);
+        seq.run_windowed(1000, 1);
         for workers in [2, 3, 5, 8, 64] {
             let mut par = ParallelEngine::new(make_ring(8), 4);
             par.run_windowed(1000, workers);
@@ -1339,7 +1326,7 @@ mod tests {
     #[test]
     fn messages_actually_flow() {
         let mut eng = ParallelEngine::new(make_ring(4), 2);
-        eng.run_parallel(100);
+        eng.run_windowed(100, 4);
         assert!(eng.shards().iter().all(|s| !s.log.is_empty()));
         assert_eq!(eng.now(), 100);
     }
@@ -1347,7 +1334,7 @@ mod tests {
     #[test]
     fn window_clamps_to_run_end() {
         let mut eng = ParallelEngine::new(make_ring(2), 64);
-        eng.run_sequential(10);
+        eng.run_windowed(10, 1);
         assert_eq!(eng.now(), 10);
     }
 
@@ -1394,7 +1381,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut whole = ParallelEngine::new(mk(6), 4);
-        whole.run_sequential(400);
+        whole.run_windowed(400, 1);
         let mut sliced = ParallelEngine::new(mk(6), 4);
         for _ in 0..400 {
             sliced.run_windowed(1, 1);
@@ -1506,9 +1493,9 @@ mod tests {
             ]
         };
         let mut seq = ParallelEngine::new(mk(), 5);
-        seq.run_sequential(40);
+        seq.run_windowed(40, 1);
         let mut par = ParallelEngine::new(mk(), 5);
-        par.run_parallel(40);
+        par.run_windowed(40, 2);
         assert_eq!(seq.shards()[1].got, par.shards()[1].got);
         assert_eq!(seq.shards()[1].got, vec![0, 5, 10]);
     }
@@ -1529,7 +1516,7 @@ mod tests {
     #[test]
     fn into_shards_returns_state() {
         let mut eng = ParallelEngine::new(make_ring(3), 1);
-        eng.run_sequential(5);
+        eng.run_windowed(5, 1);
         let shards = eng.into_shards();
         assert_eq!(shards.len(), 3);
     }
@@ -1610,7 +1597,7 @@ mod tests {
         // states exactly, for every worker count.
         let mut base = ParallelEngine::new(make_sleepers(6, 64), 2);
         base.set_skip_enabled(false);
-        base.run_sequential(5_000);
+        base.run_windowed(5_000, 1);
         assert_eq!(base.skipped_cycles(), 0);
         for workers in [1, 2, 6] {
             let mut eng = ParallelEngine::new(make_sleepers(6, 64), 2);
@@ -1677,7 +1664,7 @@ mod tests {
         let cycles = 5_000;
         let mut base = ParallelEngine::new(make_sleepers(6, 64), 2);
         base.set_skip_enabled(false);
-        base.run_sequential(cycles);
+        base.run_windowed(cycles, 1);
         for workers in [1, 2, 4] {
             let shards = make_sleepers(6, 64)
                 .into_iter()
@@ -1754,18 +1741,18 @@ mod tests {
                 Some(now + 10)
             }
         }
-        ParallelEngine::new(vec![Drifter], 2).run_sequential(100);
+        ParallelEngine::new(vec![Drifter], 2).run_windowed(100, 1);
     }
 
     #[test]
     fn skip_counters_account_for_every_shard_cycle() {
         let mut eng = ParallelEngine::new(make_sleepers(4, 32), 2);
-        eng.run_sequential(1_000);
+        eng.run_windowed(1_000, 1);
         assert_eq!(eng.stepped_cycles() + eng.skipped_cycles(), 4 * 1_000);
         assert!(eng.skip_ratio() > 0.5);
         let mut off = ParallelEngine::new(make_sleepers(4, 32), 2);
         off.set_skip_enabled(false);
-        off.run_sequential(1_000);
+        off.run_windowed(1_000, 1);
         assert_eq!(off.stepped_cycles(), 4 * 1_000);
         assert_eq!(off.skip_ratio(), 0.0);
     }
@@ -1776,7 +1763,7 @@ mod tests {
         // stays inert even though it is enabled by default.
         let mut eng = ParallelEngine::new(make_ring(4), 4);
         assert!(eng.skip_enabled());
-        eng.run_sequential(200);
+        eng.run_windowed(200, 1);
         assert_eq!(eng.skipped_cycles(), 0);
         assert_eq!(eng.stepped_cycles(), 4 * 200);
     }
@@ -1786,7 +1773,7 @@ mod tests {
         // Chop one run into many `run_windowed` calls (as the chip's
         // chunked is_done grid does) and compare against one long call.
         let mut whole = ParallelEngine::new(make_sleepers(5, 48), 2);
-        whole.run_sequential(4_096);
+        whole.run_windowed(4_096, 1);
         let mut chopped = ParallelEngine::new(make_sleepers(5, 48), 2);
         for _ in 0..4 {
             chopped.run_windowed(1_024, 2);
@@ -1801,7 +1788,7 @@ mod tests {
     #[test]
     fn profiling_is_bit_identical_and_accounts_every_nanosecond() {
         let mut base = ParallelEngine::new(make_sleepers(6, 64), 2);
-        base.run_sequential(5_000);
+        base.run_windowed(5_000, 1);
         for workers in [1, 3, 6] {
             let mut eng = ParallelEngine::new(make_sleepers(6, 64), 2);
             eng.enable_profiling(ProfConfig::on());
@@ -1844,7 +1831,7 @@ mod tests {
         let mut eng = ParallelEngine::new(make_sleepers(4, 32), 2);
         assert!(eng.profile().is_none());
         eng.enable_profiling(ProfConfig::off());
-        eng.run_sequential(1_000);
+        eng.run_windowed(1_000, 1);
         assert!(eng.profile().is_none());
     }
 
@@ -1881,7 +1868,7 @@ mod tests {
     #[test]
     fn satisfied_contract_is_observation_only() {
         let mut plain = ParallelEngine::new(make_ring(6), 4);
-        plain.run_sequential(500);
+        plain.run_windowed(500, 1);
         for workers in [1, 3, 6] {
             let mut eng = ParallelEngine::new(make_ring(6), 4);
             eng.set_contract(ring_contract(6, 4), |_| 0);
@@ -1896,7 +1883,7 @@ mod tests {
         cleared.set_contract(ring_contract(6, 4), |_| 0);
         cleared.clear_contract();
         assert!(cleared.contract().is_none());
-        cleared.run_sequential(500);
+        cleared.run_windowed(500, 1);
         assert_eq!(cleared.shards()[0].counter, plain.shards()[0].counter);
     }
 
@@ -1910,7 +1897,7 @@ mod tests {
         c.set_class_floors(vec![9]);
         let mut eng = ParallelEngine::new(make_ring(4), 4);
         eng.set_contract(c, |_| 0);
-        eng.run_sequential(8);
+        eng.run_windowed(8, 1);
     }
 
     #[cfg(debug_assertions)]
@@ -1919,7 +1906,7 @@ mod tests {
     fn contract_unreachable_pair_panics_in_debug() {
         let mut eng = ParallelEngine::new(make_ring(4), 4);
         eng.set_contract(HorizonContract::unreachable(4), |_| 0);
-        eng.run_sequential(8);
+        eng.run_windowed(8, 1);
     }
 
     #[test]
@@ -2020,7 +2007,7 @@ mod tests {
         let mut narrow = ParallelEngine::new(make_pacers(4, 8), 2);
         narrow.set_contract(pacer_contract(4, 8), |_| 0);
         assert_eq!(narrow.effective_lookahead(), 2, "widening is opt-in");
-        narrow.run_sequential(400);
+        narrow.run_windowed(400, 1);
         assert_eq!(narrow.windows(), 200);
         for workers in [1, 2, 4] {
             let mut wide = ParallelEngine::new(make_pacers(4, 8), 2);
@@ -2080,10 +2067,10 @@ mod tests {
     fn pending_messages_counts_undelivered_envelopes() {
         let mut eng = ParallelEngine::new(make_ring(2), 8);
         assert_eq!(eng.pending_messages(), 0);
-        eng.run_sequential(8);
+        eng.run_windowed(8, 1);
         // Each shard sent one message due at cycle 8, not yet consumed.
         assert_eq!(eng.pending_messages(), 2);
-        eng.run_sequential(8);
+        eng.run_windowed(8, 1);
         assert_eq!(eng.pending_messages(), 2);
     }
 }

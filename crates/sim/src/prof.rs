@@ -27,7 +27,7 @@
 //! Determinism: profiling is read-only with respect to the simulation.
 //! Every `Instant` read feeds only these host-side accumulators — never a
 //! model decision — so a profiled run produces a bit-identical report to
-//! an unprofiled one (enforced by `tests/profiling.rs`). Disabled
+//! an unprofiled one (enforced by `tests/equivalence.rs`). Disabled
 //! profiling costs one branch per site and reads no clocks at all.
 
 use std::fmt;

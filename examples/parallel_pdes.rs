@@ -127,12 +127,12 @@ fn main() {
     for lookahead in LOOKAHEADS {
         let t0 = Instant::now();
         let mut seq = ParallelEngine::new(build(shards, lookahead), lookahead);
-        seq.run_sequential(cycles);
+        seq.run_windowed(cycles, 1);
         let t_seq = t0.elapsed();
 
         let t0 = Instant::now();
         let mut par = ParallelEngine::new(build(shards, lookahead), lookahead);
-        par.run_parallel(cycles);
+        par.run_windowed(cycles, shards);
         let t_par = t0.elapsed();
 
         let (mut sent, mut received) = (0, 0);

@@ -28,26 +28,9 @@ echo "    the workspace; its smoke test checks on all five workloads that two"
 echo "    workers and tracing reproduce the reference reports)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> parallel determinism (sharded chip vs sequential, all benchmarks)"
-cargo test --offline -q --test parallel_determinism
-
-echo "==> cycle skipping (skip-on vs skip-off bit-identical, all benchmarks)"
-cargo test --offline -q --test cycle_skip
-
-echo "==> fault determinism (seeded chaos bit-identical across workers x skip)"
-cargo test --offline -q --test fault_determinism
-
-echo "==> rack determinism (seeded traffic reproducible; cluster reports"
-echo "    bit-identical across workers x skip, healthy and chaos)"
-cargo test --offline -q --test rack_determinism
-
 echo "==> rack smoke (2-chip cluster serves a short stream; every request"
 echo "    completes and the latency histogram is non-empty)"
 cargo run --offline --release -p smarco-bench --bin rack -- --smoke
-
-echo "==> NoC backend determinism (ring/mesh/buffered bit-identical across"
-echo "    workers x skip, criticality routing on, all benchmarks)"
-cargo test --offline -q --test noc_backends
 
 echo "==> noc_sweep smoke (backends x benchmarks x criticality matrix;"
 echo "    exits non-zero if any backend fails to drain a benchmark)"
@@ -60,9 +43,6 @@ echo "==> scale bench (PDES speedup sweep + cycle-skip study; asserts"
 echo "    bit-identical reports and a non-zero skip ratio on TeraSort)"
 cargo run --offline --release -p smarco-bench --bin scale
 
-echo "==> profiling contract (profiled runs bit-identical, exact phase sums)"
-cargo test --offline -q --test profiling
-
 echo "==> perf-regression gate (sequential engine vs committed baseline;"
 echo "    plus a 4-worker leg on hosts with >=4 CPUs when the baseline"
 echo "    has one; SMARCO_PERF_GATE=skip bypasses on noisy hosts)"
@@ -71,9 +51,6 @@ cargo run --offline --release -p smarco-bench --bin profile -- --gate scripts/pe
 echo "==> smarco-lint (static verifier, warnings are errors; sweep covers"
 echo "    every config and benchmark under healthy and chaos fault plans)"
 cargo run --offline --release -p smarco-bench --bin lint -- --deny-warnings
-
-echo "==> model-contract gate (horizon checker bit-identical on all benchmarks)"
-cargo test --offline -q --test model_contract
 
 echo "==> negative-config corpus (each seeded bad config must reproduce its"
 echo "    codes; exit 1 = diagnostics present as expected, 2 = regression)"

@@ -1,70 +1,18 @@
 //! The cycle-skipping contract: event-horizon fast-forwarding is a pure
-//! wall-clock optimisation. For every HTC benchmark and every tested
-//! worker count, a run with skipping enabled produces a bit-identical
-//! [`SmarcoReport`] to one with skipping disabled — and on these
-//! memory-bound workloads the skipper must actually engage (a skip ratio
-//! of zero would mean the horizons never clear, i.e. the feature is dead).
+//! wall-clock optimisation. For every HTC benchmark, at one and four
+//! workers, a run with skipping on reproduces the skip-off canonical
+//! report bit for bit — and on these memory-bound workloads the skipper
+//! must actually engage, with stepped + skipped shard-cycles tiling the
+//! run (checked on every point by `support`).
 
-use smarco::core::chip::SmarcoSystem;
-use smarco::core::config::SmarcoConfig;
-use smarco::sim::rng::SimRng;
-use smarco::workloads::{Benchmark, HtcStream};
+mod support;
 
-const THREADS_PER_CORE: usize = 2;
-const INSTRS: u64 = 300;
-const MAX_CYCLES: u64 = 10_000_000;
-
-/// A small chip loaded with one benchmark's team-interleaved threads.
-fn loaded(bench: Benchmark, workers: usize, cycle_skip: bool) -> SmarcoSystem {
-    let mut cfg = SmarcoConfig::tiny();
-    cfg.workers = workers;
-    cfg.cycle_skip = cycle_skip;
-    let mut sys = SmarcoSystem::builder().config(cfg).build().unwrap();
-    let teams = sys.cores_len() * THREADS_PER_CORE;
-    let mut seed = 11u64;
-    for core in 0..sys.cores_len() {
-        for t in 0..THREADS_PER_CORE {
-            let lane = (core * THREADS_PER_CORE + t) as u64;
-            let p =
-                bench.thread_params(0x100_0000, 1 << 22, 0x8000_0000, lane, teams as u64, INSTRS);
-            sys.attach(core, Box::new(HtcStream::new(p, SimRng::new(seed))))
-                .expect("vacant slot");
-            seed += 1;
-        }
-    }
-    sys
-}
+use smarco::workloads::Benchmark;
+use support::{at, check_against_canonical, LOAD, SKIP, WORKERS};
 
 #[test]
 fn skip_on_and_off_are_bit_identical_on_all_benchmarks() {
-    for bench in Benchmark::ALL {
-        let mut off_sys = loaded(bench, 1, false);
-        let off = off_sys.run(MAX_CYCLES);
-        assert!(off_sys.is_done(), "{} drained", bench.name());
-        assert_eq!(off_sys.skipped_cycles(), 0, "skip-off run still skipped");
-        for workers in [1, 4] {
-            let mut on_sys = loaded(bench, workers, true);
-            let on = on_sys.run(MAX_CYCLES);
-            assert_eq!(
-                on,
-                off,
-                "{} diverged with skip on at {workers} workers",
-                bench.name()
-            );
-            assert!(
-                on_sys.skipped_cycles() > 0,
-                "{} at {workers} workers never skipped a cycle",
-                bench.name()
-            );
-            // Counters partition the shard-cycles: nothing lost or
-            // double-counted relative to the simulated span.
-            let shards = (on_sys.config().noc.subrings + 1) as u64;
-            assert_eq!(
-                on_sys.stepped_cycles() + on_sys.skipped_cycles(),
-                shards * on.cycles,
-                "{} skip counters do not partition the run",
-                bench.name()
-            );
-        }
-    }
+    check_against_canonical(Benchmark::ALL.iter().flat_map(|bench| {
+        ["1", "4"].map(|workers| at(&[(LOAD, bench.name()), (WORKERS, workers), (SKIP, "on")]))
+    }));
 }

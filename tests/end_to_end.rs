@@ -59,11 +59,7 @@ fn full_stack_runs_every_benchmark_to_completion() {
 fn chip_is_deterministic_end_to_end() {
     let a = loaded_chip(Benchmark::WordCount, 300).run(100_000_000);
     let b = loaded_chip(Benchmark::WordCount, 300).run(100_000_000);
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.instructions, b.instructions);
-    assert_eq!(a.requests, b.requests);
-    assert_eq!(a.dram_requests, b.dram_requests);
-    assert_eq!(a.mact_batches, b.mact_batches);
+    assert_eq!(a, b, "two builds of the same chip diverged");
 }
 
 #[test]

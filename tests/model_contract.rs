@@ -1,83 +1,21 @@
-//! The horizon contract's two faces agree: `SmarcoSystem` installs the
-//! config-derived [`HorizonContract`] on its PDES engine by default, so
-//! every debug-build run cross-checks each boundary envelope against the
-//! same floors the static verifier reasons about (`SL0421`). The checker
-//! must be observation-only — a checked run's report is bit-identical to
-//! an unchecked one on every HTC benchmark — and the static side must be
-//! clean on exactly the configurations the dynamic side runs green.
+//! The horizon contract checker is observation-only: `SmarcoSystem`
+//! installs the config-derived `HorizonContract` on its PDES engine by
+//! default, so every debug-build run cross-checks each boundary envelope
+//! against the floors the static verifier reasons about (`SL0421`), and a
+//! checked run's report is bit-identical to an unchecked one on every HTC
+//! benchmark.
 
-use smarco::core::chip::SmarcoSystem;
-use smarco::core::config::SmarcoConfig;
-use smarco::core::contract::horizon_contract;
-use smarco::lint::{lint_model, ModelInput};
-use smarco::sim::rng::SimRng;
-use smarco::workloads::{Benchmark, HtcStream};
+mod support;
 
-const THREADS_PER_CORE: usize = 2;
-const INSTRS: u64 = 300;
-const MAX_CYCLES: u64 = 10_000_000;
-
-/// A small chip loaded with one benchmark's team-interleaved threads.
-fn loaded(bench: Benchmark, workers: usize) -> SmarcoSystem {
-    let mut cfg = SmarcoConfig::tiny();
-    cfg.workers = workers;
-    let mut sys = SmarcoSystem::builder().config(cfg).build().unwrap();
-    let teams = sys.cores_len() * THREADS_PER_CORE;
-    let mut seed = 11u64;
-    for core in 0..sys.cores_len() {
-        for t in 0..THREADS_PER_CORE {
-            let lane = (core * THREADS_PER_CORE + t) as u64;
-            let p =
-                bench.thread_params(0x100_0000, 1 << 22, 0x8000_0000, lane, teams as u64, INSTRS);
-            sys.attach(core, Box::new(HtcStream::new(p, SimRng::new(seed))))
-                .expect("vacant slot");
-            seed += 1;
-        }
-    }
-    sys
-}
+use smarco::workloads::Benchmark;
+use support::{at, check_against_canonical, CHECKER, LOAD, WORKERS};
 
 #[test]
 fn checked_runs_are_bit_identical_to_unchecked_on_all_benchmarks() {
-    for bench in Benchmark::ALL {
-        // Default build: contract installed, debug assertions verify every
-        // boundary envelope. A panic here is a broken horizon promise.
-        let mut checked_sys = loaded(bench, 4);
-        let checked = checked_sys.run(MAX_CYCLES);
-        assert!(checked_sys.is_done(), "{} drained", bench.name());
-        assert!(checked.instructions > 0 && checked.requests > 0);
-        // Same chip with the checker removed: observation-only means the
-        // reports cannot differ in a single bit.
-        let mut unchecked_sys = loaded(bench, 4);
-        unchecked_sys.set_contract_checking(false);
-        let unchecked = unchecked_sys.run(MAX_CYCLES);
-        assert_eq!(
-            checked,
-            unchecked,
-            "{}: the contract checker perturbed the simulation",
-            bench.name()
-        );
-    }
-}
-
-#[test]
-fn static_and_dynamic_checks_share_one_predicate() {
-    // The object the lint pass evaluates is the object the engine
-    // enforces: derived once, from the same config.
-    let cfg = SmarcoConfig::tiny();
-    let from_static = horizon_contract(&cfg);
-    let from_engine = horizon_contract(&cfg); // assemble() calls this too
-    assert_eq!(from_static, from_engine);
-    // And the static verdict on the config the runs above use is clean:
-    // the dynamic checker running green is the runtime face of this.
-    assert!(lint_model(&ModelInput::new(cfg)).is_empty());
-}
-
-#[test]
-fn reenabling_the_checker_reinstalls_the_derived_contract() {
-    let mut sys = loaded(Benchmark::WordCount, 2);
-    sys.set_contract_checking(false);
-    sys.set_contract_checking(true);
-    let report = sys.run(MAX_CYCLES);
-    assert!(report.instructions > 0, "checked run made progress");
+    // The canonical run keeps the checker on; a panic there is a broken
+    // horizon promise. The same chip with the checker removed, at one
+    // and four workers, must not differ in a single bit.
+    check_against_canonical(Benchmark::ALL.iter().flat_map(|bench| {
+        ["1", "4"].map(|workers| at(&[(LOAD, bench.name()), (WORKERS, workers), (CHECKER, "off")]))
+    }));
 }

@@ -5,121 +5,28 @@
 //! differ *across* backends — that is the point of the sweep — but
 //! within one backend the report is a pure function of the config and
 //! the seeds.
+//!
+//! [`SmarcoReport`]: smarco::core::report::SmarcoReport
 
-use smarco::core::chip::SmarcoSystem;
-use smarco::core::config::SmarcoConfig;
-use smarco::noc::buffered::BufferedNoc;
-use smarco::noc::{BufferedNocConfig, NocBackendKind};
-use smarco::sim::rng::SimRng;
-use smarco::workloads::{Benchmark, HtcStream};
+mod support;
 
-const THREADS_PER_CORE: usize = 2;
-const INSTRS: u64 = 300;
-const MAX_CYCLES: u64 = 10_000_000;
-
-fn backends() -> [NocBackendKind; 3] {
-    [
-        NocBackendKind::Ring,
-        NocBackendKind::Mesh,
-        NocBackendKind::Buffered(BufferedNocConfig::default()),
-    ]
-}
-
-/// A small chip on `backend` loaded with one benchmark's threads.
-fn loaded(
-    backend: NocBackendKind,
-    bench: Benchmark,
-    workers: usize,
-    cycle_skip: bool,
-) -> SmarcoSystem {
-    let mut cfg = SmarcoConfig::tiny();
-    cfg.workers = workers;
-    cfg.cycle_skip = cycle_skip;
-    cfg.noc = cfg.noc.with_backend(backend).with_criticality_routing(true);
-    let mut sys = SmarcoSystem::builder().config(cfg).build().unwrap();
-    let teams = sys.cores_len() * THREADS_PER_CORE;
-    let mut seed = 11u64;
-    for core in 0..sys.cores_len() {
-        for t in 0..THREADS_PER_CORE {
-            let lane = (core * THREADS_PER_CORE + t) as u64;
-            let p =
-                bench.thread_params(0x100_0000, 1 << 22, 0x8000_0000, lane, teams as u64, INSTRS);
-            sys.attach(core, Box::new(HtcStream::new(p, SimRng::new(seed))))
-                .expect("vacant slot");
-            seed += 1;
-        }
-    }
-    sys
-}
+use smarco::workloads::Benchmark;
+use support::{at, check_against_canonical, AXES, BACKEND, LOAD, ROUTING, SKIP, WORKERS};
 
 #[test]
 fn every_backend_is_bit_identical_across_workers_and_skip() {
-    for backend in backends() {
-        for bench in Benchmark::ALL {
-            let mut base_sys = loaded(backend, bench, 1, false);
-            let base = base_sys.run(MAX_CYCLES);
-            assert!(
-                base_sys.is_done(),
-                "{} failed to drain {}",
-                backend.name(),
-                bench.name()
-            );
-            assert!(base.instructions > 0);
-            for workers in [1, 4] {
-                for cycle_skip in [false, true] {
-                    if workers == 1 && !cycle_skip {
-                        continue; // that's the baseline itself
-                    }
-                    let mut sys = loaded(backend, bench, workers, cycle_skip);
-                    let report = sys.run(MAX_CYCLES);
-                    assert_eq!(
-                        report,
-                        base,
-                        "{} diverged on {} at {workers} workers, skip={cycle_skip}",
-                        backend.name(),
-                        bench.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn higher_criticality_wins_arbitration_at_the_same_cycle() {
-    // Two packets become deliverable on the same cycle through one
-    // buffered switch: the bulk packet was injected first, but the
-    // critical one (class 3) must come out ahead of it (class 0).
-    #[derive(Debug, Clone)]
-    struct Tagged {
-        id: u32,
-        class: u8,
-    }
-    impl smarco::noc::link::Transmittable for Tagged {
-        fn bytes(&self) -> u32 {
-            8
-        }
-        fn class(&self) -> u8 {
-            self.class
-        }
-    }
-
-    let mut noc: BufferedNoc<Tagged> = BufferedNoc::new(4, BufferedNocConfig::default());
-    assert!(noc.inject(0, 2, Tagged { id: 0, class: 0 }, 0).is_none());
-    assert!(noc.inject(1, 2, Tagged { id: 1, class: 3 }, 0).is_none());
-    let mut order = Vec::new();
-    for now in 1..32 {
-        for (exit, item) in noc.tick(now) {
-            assert_eq!(exit, 2);
-            order.push(item.id);
-        }
-        if noc.is_idle() {
-            break;
-        }
-    }
-    assert_eq!(
-        order,
-        vec![1, 0],
-        "the critical packet must beat the earlier-injected bulk packet"
-    );
+    let variants = [("1", "on"), ("4", "off"), ("4", "on")];
+    check_against_canonical(AXES[BACKEND].1.iter().flat_map(|&backend| {
+        Benchmark::ALL.iter().flat_map(move |bench| {
+            variants.map(|(workers, skip)| {
+                at(&[
+                    (LOAD, bench.name()),
+                    (BACKEND, backend),
+                    (ROUTING, "on"),
+                    (WORKERS, workers),
+                    (SKIP, skip),
+                ])
+            })
+        })
+    }));
 }

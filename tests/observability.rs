@@ -1,7 +1,6 @@
-//! The observability layer must be *read-only*: a run with tracing and
-//! windowed sampling enabled produces a bit-identical [`SmarcoReport`] to
-//! the same seeded run with observation off, while still capturing a rich
-//! event trace and per-window metrics.
+//! The observability layer captures a rich event trace and per-window
+//! metrics. (That observing a run leaves its report bit-identical is
+//! checked on every observed point of `tests/equivalence.rs`.)
 
 use smarco::core::chip::SmarcoSystem;
 use smarco::core::config::SmarcoConfig;
@@ -39,19 +38,13 @@ fn loaded(obs: ObsConfig) -> SmarcoSystem {
 }
 
 #[test]
-fn observed_run_is_bit_identical_to_unobserved() {
-    let baseline = loaded(ObsConfig::off()).run(10_000_000);
+fn observed_run_captures_events_and_window_metrics() {
     let mut observed_sys = loaded(ObsConfig::full(5_000));
     let observed = observed_sys.run(10_000_000);
-    // Same seed, same workload: every counter, ratio and latency tracker
-    // must match exactly — the hooks may watch, never touch.
-    assert_eq!(observed, baseline);
     assert!(
-        baseline.instructions > 0 && baseline.requests > 0,
+        observed.instructions > 0 && observed.requests > 0,
         "workload actually ran"
     );
-
-    // And the observed run actually observed something.
     let trace = observed_sys.trace().expect("tracing enabled");
     assert!(trace.total() > 0, "events were captured");
     let kinds = trace.counts_by_kind();
@@ -88,11 +81,8 @@ fn trace_export_is_loadable_chrome_json() {
 
 #[test]
 fn observed_tick_by_tick_run_flushes_explicitly() {
-    use smarco::sim::engine::CycleModel;
     let mut sys = loaded(ObsConfig::full(2_000));
-    for now in 0..20_000 {
-        sys.tick(now);
-    }
+    sys.advance_until(20_000);
     sys.flush_observations()
         .expect("no export paths set, nothing to write");
     let metrics = sys.metrics().expect("sampling enabled");

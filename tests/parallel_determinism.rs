@@ -1,126 +1,45 @@
 //! The sharded chip's determinism contract: running `SmarcoSystem` with
 //! any number of PDES worker threads produces a bit-identical
-//! [`SmarcoReport`] to the sequential run — on every HTC benchmark, and
-//! with the observability layer on or off. Shard interactions travel as
-//! `(timestamp, sender, sequence)`-ordered boundary messages, so host
-//! thread interleaving can never leak into simulated state.
+//! [`SmarcoReport`] to the sequential run — on every HTC benchmark, under
+//! a chaos plan, and with the observability layer on or off. Shard
+//! interactions travel as `(timestamp, sender, sequence)`-ordered
+//! boundary messages, so host thread interleaving can never leak into
+//! simulated state.
+//!
+//! [`SmarcoReport`]: smarco::core::report::SmarcoReport
 
-use smarco::core::chip::SmarcoSystem;
-use smarco::core::config::SmarcoConfig;
-use smarco::core::fault::FaultPlan;
-use smarco::core::report::SmarcoReport;
-use smarco::sim::obs::ObsConfig;
-use smarco::sim::rng::SimRng;
-use smarco::workloads::{Benchmark, HtcStream};
+mod support;
 
-const THREADS_PER_CORE: usize = 2;
-const INSTRS: u64 = 300;
-const MAX_CYCLES: u64 = 10_000_000;
-
-/// A small chip loaded with one benchmark's team-interleaved threads.
-fn loaded(bench: Benchmark, workers: usize, obs: ObsConfig) -> SmarcoSystem {
-    let mut cfg = SmarcoConfig::tiny();
-    cfg.workers = workers;
-    cfg.obs = obs;
-    let mut sys = SmarcoSystem::builder().config(cfg).build().unwrap();
-    let teams = sys.cores_len() * THREADS_PER_CORE;
-    let mut seed = 11u64;
-    for core in 0..sys.cores_len() {
-        for t in 0..THREADS_PER_CORE {
-            let lane = (core * THREADS_PER_CORE + t) as u64;
-            let p =
-                bench.thread_params(0x100_0000, 1 << 22, 0x8000_0000, lane, teams as u64, INSTRS);
-            sys.attach(core, Box::new(HtcStream::new(p, SimRng::new(seed))))
-                .expect("vacant slot");
-            seed += 1;
-        }
-    }
-    sys
-}
+use smarco::workloads::Benchmark;
+use support::{at, check_against_canonical, FAULT, LOAD, OBS, WORKERS};
 
 #[test]
 fn every_worker_count_matches_sequential_on_all_benchmarks() {
-    for bench in Benchmark::ALL {
-        let mut seq_sys = loaded(bench, 1, ObsConfig::off());
-        let seq = seq_sys.run(MAX_CYCLES);
-        assert!(seq_sys.is_done(), "{} drained", bench.name());
-        assert!(seq.instructions > 0 && seq.requests > 0);
-        // 16 workers exceeds the tiny chip's 5 shards — the engine clamps,
-        // exercising the workers >= shards path too.
-        for workers in [2, 4, 16] {
-            let par = loaded(bench, workers, ObsConfig::off()).run(MAX_CYCLES);
-            assert_eq!(par, seq, "{} diverged at {workers} workers", bench.name());
-        }
-    }
-}
-
-/// One wordcount run under a seeded chaos plan — the adversarial case for
-/// the mailbox exchange, since faults add retries, quarantines, and
-/// redispatch traffic across shard boundaries.
-fn chaos_loaded(workers: usize) -> SmarcoReport {
-    let mut cfg = SmarcoConfig::tiny();
-    cfg.workers = workers;
-    let plan = FaultPlan::chaos(23, &cfg);
-    let mut sys = SmarcoSystem::builder()
-        .config(cfg)
-        .fault_plan(plan)
-        .build()
-        .expect("valid config");
-    let teams = sys.cores_len() * THREADS_PER_CORE;
-    let mut seed = 11u64;
-    for core in 0..sys.cores_len() {
-        for t in 0..THREADS_PER_CORE {
-            let lane = (core * THREADS_PER_CORE + t) as u64;
-            let p = Benchmark::WordCount.thread_params(
-                0x100_0000,
-                1 << 22,
-                0x8000_0000,
-                lane,
-                teams as u64,
-                INSTRS,
-            );
-            sys.attach(core, Box::new(HtcStream::new(p, SimRng::new(seed))))
-                .expect("vacant slot");
-            seed += 1;
-        }
-    }
-    let report = sys.run(MAX_CYCLES);
-    assert!(sys.is_done(), "chip drained under chaos");
-    report
+    // 16 workers exceeds the tiny chip's 5 shards — the engine clamps,
+    // exercising the workers >= shards path too.
+    check_against_canonical(Benchmark::ALL.iter().flat_map(|bench| {
+        ["2", "4", "16"].map(|workers| at(&[(LOAD, bench.name()), (WORKERS, workers)]))
+    }));
 }
 
 #[test]
 fn oversubscribed_and_odd_worker_counts_match_under_chaos() {
     // The exchange path must hold up when worker groups split the shards
-    // unevenly (3), when workers exceed the shard count (8), and when
+    // unevenly (3), when workers exceed the shard count (16), and when
     // they exceed the *host's* parallelism outright (2x the CPU count),
     // where the adaptive barrier falls back to yield-on-every-check. The
-    // degradation section is part of `SmarcoReport`'s equality, so fault
-    // damage and recovery must also be bit-identical.
-    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let baseline = chaos_loaded(1);
-    assert!(
-        !baseline.degradation.is_clean(),
-        "chaos plan did no damage: {:?}",
-        baseline.degradation
+    // degradation section is part of `SmarcoReport`'s equality, and the
+    // chaos canonical must show retries and a quarantined core, so fault
+    // damage and recovery are bit-identical too.
+    check_against_canonical(
+        ["3", "16", "2x host CPUs"]
+            .map(|workers| at(&[(LOAD, "WordCount"), (FAULT, "chaos"), (WORKERS, workers)])),
     );
-    for workers in [3, 8, 2 * host_cpus] {
-        let run = chaos_loaded(workers);
-        assert_eq!(run, baseline, "diverged at workers={workers}");
-    }
 }
 
 #[test]
 fn parallel_observed_run_matches_sequential_unobserved() {
-    let seq = loaded(Benchmark::TeraSort, 1, ObsConfig::off()).run(MAX_CYCLES);
-    let mut sys = loaded(Benchmark::TeraSort, 4, ObsConfig::full(5_000));
-    let par = sys.run(MAX_CYCLES);
-    assert_eq!(par, seq, "observability or parallelism touched the chip");
-    // The observed parallel run still captured real observations.
-    assert!(sys.trace().expect("tracing enabled").total() > 0);
-    assert!(!sys
-        .metrics()
-        .expect("sampling enabled")
-        .windows()
-        .is_empty());
+    // The observed parallel run must also capture real observations: a
+    // non-empty trace and at least one closed metrics window.
+    check_against_canonical([at(&[(LOAD, "TeraSort"), (WORKERS, "4"), (OBS, "full")])]);
 }

@@ -1,89 +1,59 @@
 //! The self-profiling contract: host-side profiling of the PDES engine is
 //! pure observation. For every HTC benchmark, a profiled run produces a
-//! bit-identical [`SmarcoReport`] to an unprofiled one — across worker
+//! bit-identical `SmarcoReport` to an unprofiled one — across worker
 //! counts and with cycle skipping on or off — while the profile itself
 //! accounts for every measured nanosecond (the named phase buckets plus
-//! the remainder sum to the total exactly).
+//! the remainder sum to the total exactly; checked on every profiled
+//! point by `support`). The window telemetry agrees with the engine's own
+//! counters, and the exports land next to the run.
+
+mod support;
 
 use smarco::core::chip::SmarcoSystem;
 use smarco::core::config::{ProfConfig, SmarcoConfig};
-use smarco::sim::prof::HostPhase;
 use smarco::sim::rng::SimRng;
 use smarco::workloads::{Benchmark, HtcStream};
+use support::{at, check_against_canonical, LOAD, PROF, SKIP, WORKERS};
 
-const THREADS_PER_CORE: usize = 2;
 const INSTRS: u64 = 300;
 const MAX_CYCLES: u64 = 10_000_000;
 
-/// A small chip loaded with one benchmark's team-interleaved threads.
-fn loaded(bench: Benchmark, workers: usize, cycle_skip: bool, prof: ProfConfig) -> SmarcoSystem {
+/// A small profiled chip on four workers, loaded with two
+/// team-interleaved WordCount threads per core.
+fn loaded() -> SmarcoSystem {
     let mut cfg = SmarcoConfig::tiny();
-    cfg.workers = workers;
-    cfg.cycle_skip = cycle_skip;
-    cfg.prof = prof;
+    cfg.workers = 4;
+    cfg.prof = ProfConfig::on();
     let mut sys = SmarcoSystem::builder().config(cfg).build().unwrap();
-    let teams = sys.cores_len() * THREADS_PER_CORE;
-    let mut seed = 11u64;
-    for core in 0..sys.cores_len() {
-        for t in 0..THREADS_PER_CORE {
-            let lane = (core * THREADS_PER_CORE + t) as u64;
-            let p =
-                bench.thread_params(0x100_0000, 1 << 22, 0x8000_0000, lane, teams as u64, INSTRS);
-            sys.attach(core, Box::new(HtcStream::new(p, SimRng::new(seed))))
-                .expect("vacant slot");
-            seed += 1;
-        }
+    let (bench, teams) = (Benchmark::WordCount, (sys.cores_len() * 2) as u64);
+    for lane in 0..teams {
+        let p = bench.thread_params(0x100_0000, 1 << 22, 0x8000_0000, lane, teams, INSTRS);
+        sys.attach(
+            lane as usize / 2,
+            Box::new(HtcStream::new(p, SimRng::new(11 + lane))),
+        )
+        .expect("vacant slot");
     }
     sys
 }
 
 #[test]
 fn profiling_is_result_neutral_on_all_benchmarks() {
-    for bench in Benchmark::ALL {
-        for cycle_skip in [true, false] {
-            let mut plain_sys = loaded(bench, 1, cycle_skip, ProfConfig::off());
-            let plain = plain_sys.run(MAX_CYCLES);
-            assert!(plain_sys.is_done(), "{} drained", bench.name());
-            assert!(
-                plain_sys.profile_report().is_none(),
-                "unprofiled run produced a profile"
-            );
-            for workers in [1, 4] {
-                let mut prof_sys = loaded(bench, workers, cycle_skip, ProfConfig::on());
-                let profiled = prof_sys.run(MAX_CYCLES);
-                assert_eq!(
-                    profiled,
-                    plain,
-                    "{} diverged under profiling at {workers} workers \
-                     (cycle_skip={cycle_skip})",
-                    bench.name()
-                );
-                let report = prof_sys.profile_report().expect("profile present");
-                // Every measured nanosecond is attributed: the named
-                // buckets plus each worker's remainder sum to the total
-                // exactly (not within a tolerance).
-                assert_eq!(
-                    report.phases().total(),
-                    report.total_ns(),
-                    "{} phase buckets do not partition the run",
-                    bench.name()
-                );
-                for w in &report.workers {
-                    assert_eq!(w.named_ns() + w.other_ns(), w.busy_ns);
-                }
-                assert!(
-                    report.phases().get(HostPhase::Step) > 0,
-                    "{} spent no time stepping",
-                    bench.name()
-                );
-            }
-        }
-    }
+    check_against_canonical(Benchmark::ALL.iter().flat_map(|bench| {
+        [("1", "off"), ("1", "on"), ("4", "off"), ("4", "on")].map(|(workers, skip)| {
+            at(&[
+                (LOAD, bench.name()),
+                (WORKERS, workers),
+                (SKIP, skip),
+                (PROF, "on"),
+            ])
+        })
+    }));
 }
 
 #[test]
 fn profile_telemetry_matches_engine_counters() {
-    let mut sys = loaded(Benchmark::WordCount, 4, true, ProfConfig::on());
+    let mut sys = loaded();
     let r = sys.run(MAX_CYCLES);
     assert!(sys.is_done());
     let report = sys.profile_report().expect("profile present");

@@ -1,35 +1,25 @@
-//! Rack-scale determinism suite (public API surface).
-//!
-//! Two contracts the serving story depends on:
-//!
-//! 1. Traffic is a pure function of its seed: equal profiles yield
-//!    bit-identical arrival/size streams, on every arrival process.
-//! 2. A cluster run is a pure function of its configuration: the full
-//!    [`ClusterReport`] — latency histogram, SLO counters, and every
-//!    chip's report — is bit-identical across PDES worker counts
-//!    {1, 4} × cycle_skip {on, off}, healthy or with a chaos plan on
-//!    one chip.
+//! Rack-scale determinism: a cluster run is a pure function of its
+//! configuration. The full [`ClusterReport`] — latency histogram, SLO
+//! counters, and every chip's report — is bit-identical across PDES
+//! worker counts {1, 4} × cycle_skip {off, on}, healthy or with a chaos
+//! plan on one chip. (That traffic is a pure function of its seed is
+//! checked by the `cluster::traffic` unit tests.)
 
 use smarco::core::cluster::{BalancePolicy, Cluster, ClusterReport, FabricConfig, TrafficProfile};
 use smarco::core::config::SmarcoConfig;
 use smarco::core::fault::FaultPlan;
 
-const SEED: u64 = 97;
-const CHIPS: usize = 4;
 const MAX_CYCLES: u64 = 10_000_000;
 
-fn traffic() -> TrafficProfile {
-    TrafficProfile::poisson(SEED, 2.0).slo(5_000).requests(80)
-}
-
-/// One cluster run at the given knob settings, drained to completion.
-fn run(workers: usize, cycle_skip: bool, chaos: bool) -> ClusterReport {
+/// A 4-chip laxity-aware rack serving 80 Poisson requests, healthy or
+/// with chaos on chip 0, drained to completion.
+fn rack(workers: usize, cycle_skip: bool, chaos: bool) -> ClusterReport {
     let chip = SmarcoConfig::tiny();
     let mut builder = Cluster::builder()
-        .chips(CHIPS)
+        .chips(4)
         .chip(chip.clone())
         .fabric(FabricConfig::datacenter())
-        .traffic(traffic())
+        .traffic(TrafficProfile::poisson(97, 2.0).slo(5_000).requests(80))
         .policy(BalancePolicy::LaxityAware)
         .workers(workers)
         .cycle_skip(cycle_skip);
@@ -40,61 +30,35 @@ fn run(workers: usize, cycle_skip: bool, chaos: bool) -> ClusterReport {
     let report = cluster.run(MAX_CYCLES);
     assert!(
         cluster.is_done(),
-        "cluster must drain (workers {workers}, skip {cycle_skip}, chaos {chaos})"
+        "rack did not drain at workers={workers} skip={cycle_skip} chaos={chaos}"
     );
     report
 }
 
-#[test]
-fn seeded_poisson_traffic_is_reproducible() {
-    let p = traffic();
-    let a: Vec<_> = p.stream().collect();
-    let b: Vec<_> = p.stream().collect();
-    assert_eq!(a, b, "same seed must give the same stream");
-    assert_eq!(a.len(), 80);
-    let other: Vec<_> = TrafficProfile::poisson(SEED + 1, 2.0)
-        .slo(5_000)
-        .requests(80)
-        .stream()
-        .collect();
-    assert_ne!(a, other, "a different seed must give a different stream");
-}
-
-#[test]
-fn seeded_diurnal_traffic_is_reproducible() {
-    let p = TrafficProfile::diurnal(SEED, 1.0, 6.0, 40_000).requests(200);
-    let a: Vec<_> = p.stream().collect();
-    let b: Vec<_> = p.stream().collect();
-    assert_eq!(a, b);
+/// Every `(workers, skip)` row, the canonical `(1, off)` included as a
+/// rerun, reproduces the canonical rack report.
+fn rows_reproduce_the_canonical_report(chaos: bool) -> ClusterReport {
+    let expected = rack(1, false, chaos);
+    assert_eq!(expected.offered, 80);
+    for workers in [1, 4] {
+        for cycle_skip in [false, true] {
+            assert_eq!(
+                rack(workers, cycle_skip, chaos),
+                expected,
+                "rack report differs at workers={workers} skip={cycle_skip} chaos={chaos}"
+            );
+        }
+    }
+    expected
 }
 
 #[test]
 fn healthy_cluster_reports_are_bit_identical_across_workers_and_skip() {
-    let baseline = run(1, true, false);
-    assert_eq!(baseline.offered, 80);
-    assert_eq!(baseline.completed, baseline.offered, "healthy run drains");
-    for workers in [1, 4] {
-        for cycle_skip in [false, true] {
-            assert_eq!(
-                run(workers, cycle_skip, false),
-                baseline,
-                "workers {workers}, cycle_skip {cycle_skip}"
-            );
-        }
-    }
+    let report = rows_reproduce_the_canonical_report(false);
+    assert_eq!(report.completed, 80, "healthy rack dropped requests");
 }
 
 #[test]
 fn chaos_cluster_reports_are_bit_identical_across_workers_and_skip() {
-    let baseline = run(1, true, true);
-    assert_eq!(baseline.offered, 80);
-    for workers in [1, 4] {
-        for cycle_skip in [false, true] {
-            assert_eq!(
-                run(workers, cycle_skip, true),
-                baseline,
-                "workers {workers}, cycle_skip {cycle_skip}"
-            );
-        }
-    }
+    rows_reproduce_the_canonical_report(true);
 }
