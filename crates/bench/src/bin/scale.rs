@@ -3,7 +3,7 @@
 //! plus the cycle-skip study on the memory-intensive benchmark.
 //! Pass `--scale paper` for the full 256-core chip; `--parallel N` adds
 //! another worker count to the default 1/2/4 sweep. Writes the per-run
-//! perf records to `BENCH_cycle_skip.json`.
+//! perf records to `BENCH_cycle_skip.json`, or to `--json <path>`.
 //!
 //! Pass `--faults <seed>` to run chaos mode instead: TeraSort through the
 //! hardware dispatcher, healthy and under a seeded fault plan, printing
@@ -31,8 +31,18 @@ fn main() {
     }
     let bench = smarco_bench::figures::speedup::run(args.scale, &counts);
     println!("{bench}");
-    match bench.skip.write_default() {
+    let outcome = match &args.json {
+        Some(path) => {
+            let path = std::path::PathBuf::from(path);
+            bench.skip.write(&path).map(|()| path)
+        }
+        None => bench.skip.write_default(),
+    };
+    match outcome {
         Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write perf records: {e}"),
+        Err(e) => {
+            eprintln!("smarco-bench: writing the perf records failed: {e}");
+            std::process::exit(2);
+        }
     }
 }

@@ -564,11 +564,11 @@ impl TcgCore {
             return;
         }
         self.stats.cycles += 1;
-        // DMA completions.
-        for job in self.dma.tick() {
+        // DMA completion: at most one per cycle. An iseg job has no fill
+        // and no thread.
+        if let Some(job) = self.dma.tick() {
             if job.iseg {
                 self.iseg_state = IsegState::Resident;
-                continue;
             }
             if let Some((offset, bytes)) = job.fill {
                 self.spm.make_resident(offset, bytes);

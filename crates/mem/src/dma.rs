@@ -96,22 +96,21 @@ impl<T> Dma<T> {
         });
     }
 
-    /// Advances one cycle; returns payloads of transfers that finished.
-    pub fn tick(&mut self) -> Vec<T> {
-        let mut done = Vec::new();
-        if let Some(front) = self.queue.front_mut() {
-            if front.setup_left > 0 {
-                front.setup_left -= 1;
-            } else {
-                front.remaining -= self.config.bytes_per_cycle;
-                if front.remaining <= 0.0 {
-                    let t = self.queue.pop_front().expect("front exists");
-                    self.completed.inc();
-                    done.push(t.payload);
-                }
-            }
+    /// Advances one cycle; returns the payload of the transfer that
+    /// finished, if any. Only the head transfer progresses, so at most one
+    /// finishes per cycle.
+    pub fn tick(&mut self) -> Option<T> {
+        let front = self.queue.front_mut()?;
+        if front.setup_left > 0 {
+            front.setup_left -= 1;
+            return None;
         }
-        done
+        front.remaining -= self.config.bytes_per_cycle;
+        if front.remaining > 0.0 {
+            return None;
+        }
+        self.completed.inc();
+        self.queue.pop_front().map(|t| t.payload)
     }
 
     /// Whether transfers are pending or in flight.
@@ -148,7 +147,7 @@ mod tests {
         let mut cycles = 0;
         loop {
             cycles += 1;
-            if !d.tick().is_empty() {
+            if d.tick().is_some() {
                 break;
             }
             assert!(cycles < 100, "transfer never completed");
@@ -174,7 +173,7 @@ mod tests {
     #[test]
     fn idle_engine_ticks_empty() {
         let mut d = dma();
-        assert!(d.tick().is_empty());
+        assert!(d.tick().is_none());
         assert!(!d.is_busy());
     }
 

@@ -199,7 +199,7 @@ impl<T: Transmittable> BufferedNoc<T> {
     pub fn tick(&mut self, now: Cycle) -> Vec<(usize, T)> {
         let mut out = Vec::new();
         for port in 0..self.outputs.len() {
-            for slot in self.outputs[port].arrivals(now) {
+            while let Some(slot) = self.outputs[port].pop_arrival(now) {
                 self.deliver_stats(now, slot.injected_at, slot.item.bytes(), 1);
                 out.push((slot.exit, slot.item));
             }

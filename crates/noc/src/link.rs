@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 
-use smarco_sim::event::EventWheel;
 use smarco_sim::Cycle;
 
 /// Items a link can carry: anything that knows its size and priority.
@@ -183,7 +182,8 @@ impl LinkStats {
 /// Queue bookkeeping is O(1) for the common cases. `queued` keeps the
 /// untransmitted byte total, and behind a partly sent head the queue is
 /// sorted by non-increasing class, so a push whose class does not exceed
-/// the tail's is an append.
+/// the tail's is an append. The wire is a FIFO in due order: with a fixed
+/// hop latency every send is an append too.
 #[derive(Debug, Clone)]
 pub struct DirectedLink<T> {
     queue: VecDeque<T>,
@@ -191,7 +191,9 @@ pub struct DirectedLink<T> {
     head_sent: u32,
     /// Bytes queued and not yet transmitted.
     queued: u64,
-    wire: EventWheel<T>,
+    /// In-flight items with their due cycles, ordered by due cycle and
+    /// FIFO among equal dues.
+    wire: VecDeque<(Cycle, T)>,
     stats: LinkStats,
 }
 
@@ -208,7 +210,7 @@ impl<T: Transmittable> DirectedLink<T> {
             queue: VecDeque::new(),
             head_sent: 0,
             queued: 0,
-            wire: EventWheel::new(),
+            wire: VecDeque::new(),
             stats: LinkStats::default(),
         }
     }
@@ -270,7 +272,7 @@ impl<T: Transmittable> DirectedLink<T> {
                     let pkt = self.queue.pop_front().expect("head exists");
                     self.head_sent = 0;
                     self.stats.packets_sent += 1;
-                    self.wire.schedule(now + hop_latency, pkt);
+                    self.send(now + hop_latency, pkt);
                 }
             }
             Some(s) => {
@@ -288,7 +290,7 @@ impl<T: Transmittable> DirectedLink<T> {
                         let pkt = self.queue.pop_front().expect("head exists");
                         self.head_sent = 0;
                         self.stats.packets_sent += 1;
-                        self.wire.schedule(now + hop_latency, pkt);
+                        self.send(now + hop_latency, pkt);
                         sent_any = true;
                     } else {
                         // Partial (wormhole) progress: the head streams
@@ -309,13 +311,29 @@ impl<T: Transmittable> DirectedLink<T> {
         }
     }
 
-    /// Items arriving at the far router this cycle.
-    pub fn arrivals(&mut self, now: Cycle) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(p) = self.wire.pop_due(now) {
-            out.push(p);
+    /// Puts `pkt` on the wire, due at `due`. A link's hop latency is
+    /// fixed, so a send is an append. Only after a
+    /// [`Channel::set_config`] that lowers the latency can a send fall due
+    /// before the back; it then goes after the last entry due at or
+    /// before it, which keeps the wire in (due, send order) order.
+    fn send(&mut self, due: Cycle, pkt: T) {
+        if self.wire.back().is_none_or(|&(back, _)| back <= due) {
+            self.wire.push_back((due, pkt));
+        } else {
+            let at = self.wire.partition_point(|&(d, _)| d <= due);
+            self.wire.insert(at, (due, pkt));
         }
-        out
+    }
+
+    /// Pops the next item reaching the far router by `now`: earliest due
+    /// first, FIFO among equal dues. Call in a loop to drain a cycle's
+    /// arrivals.
+    pub fn pop_arrival(&mut self, now: Cycle) -> Option<T> {
+        if self.wire.front().is_some_and(|&(due, _)| due <= now) {
+            self.wire.pop_front().map(|(_, pkt)| pkt)
+        } else {
+            None
+        }
     }
 
     /// Whether the link has nothing queued or in flight.
@@ -326,7 +344,7 @@ impl<T: Transmittable> DirectedLink<T> {
     /// Cycle at which the earliest in-flight item reaches the far router,
     /// if anything is on the wire.
     pub fn next_arrival(&self) -> Option<Cycle> {
-        self.wire.next_due()
+        self.wire.front().map(|&(due, _)| due)
     }
 
     /// Accounts `bytes` of offered-but-unused capacity, exactly as an idle
@@ -419,43 +437,44 @@ impl<T: Transmittable> Channel<T> {
         self.fwd.is_empty() && self.rev.is_empty()
     }
 
+    /// Whether either direction has bytes waiting to be transmitted.
+    pub(crate) fn has_queued(&self) -> bool {
+        !self.fwd.queue.is_empty() || !self.rev.queue.is_empty()
+    }
+
     /// Event horizon: the earliest cycle at or after `now` at which this
     /// channel can transmit or deliver something. `Some(now)` while bytes
     /// are queued, the earliest wire arrival while items are in flight,
     /// `None` when fully drained.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.fwd.queue.is_empty() || !self.rev.queue.is_empty() {
+        if self.has_queued() {
             return Some(now);
         }
-        match (self.fwd.wire.next_due(), self.rev.wire.next_due()) {
+        match (self.fwd.next_arrival(), self.rev.next_arrival()) {
             (Some(a), Some(b)) => Some(now.max(a.min(b))),
             (Some(a), None) | (None, Some(a)) => Some(now.max(a)),
             (None, None) => None,
         }
     }
 
-    /// Fast-forwards an idle channel across `[from, to)`, applying exactly
-    /// the statistics `tick` accumulates when both queues are empty: the
-    /// grant loop's tie-break hands every bidirectional lane to the forward
-    /// direction, so per cycle `fwd` is offered the peak capacity and `rev`
-    /// the guaranteed minimum.
-    ///
-    /// Debug builds assert the channel really is quiescent through `to` —
-    /// a lying [`next_event`](Self::next_event) trips these rather than
-    /// silently corrupting results.
-    pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        debug_assert!(
-            self.fwd.queue.is_empty() && self.rev.queue.is_empty(),
-            "cycle-skipped a channel with queued traffic"
-        );
-        debug_assert!(
-            self.fwd.wire.next_due().is_none_or(|d| d >= to)
-                && self.rev.wire.next_due().is_none_or(|d| d >= to),
-            "cycle-skipped past an in-flight arrival"
-        );
-        let cycles = to - from;
-        self.fwd.stats.offered_bytes += cycles * u64::from(self.config.max_capacity());
-        self.rev.stats.offered_bytes += cycles * u64::from(self.config.min_capacity());
+    /// Offered bytes `(fwd, rev)` of `cycles` ticks with both queues
+    /// empty, whatever is on the wire: the grant loop's tie-break hands
+    /// every bidirectional lane to the forward direction, so per cycle
+    /// `fwd` is offered the peak capacity and `rev` the guaranteed
+    /// minimum.
+    pub(crate) fn idle_offer(&self, cycles: u64) -> (u64, u64) {
+        (
+            cycles * u64::from(self.config.max_capacity()),
+            cycles * u64::from(self.config.min_capacity()),
+        )
+    }
+
+    /// Charges the statistics of `cycles` ticks with both queues empty
+    /// (see [`idle_offer`](Self::idle_offer)) without ticking.
+    pub(crate) fn charge_idle(&mut self, cycles: u64) {
+        let (fwd, rev) = self.idle_offer(cycles);
+        self.fwd.stats.offered_bytes += fwd;
+        self.rev.stats.offered_bytes += rev;
     }
 }
 
@@ -487,6 +506,11 @@ mod tests {
         }
     }
 
+    /// Everything reaching the far router by `now`, in pop order.
+    fn arrived<T: Transmittable>(l: &mut DirectedLink<T>, now: Cycle) -> Vec<T> {
+        std::iter::from_fn(|| l.pop_arrival(now)).collect()
+    }
+
     #[test]
     fn conventional_sends_one_packet_per_cycle() {
         let mut l: DirectedLink<Pkt> = DirectedLink::new();
@@ -498,7 +522,7 @@ mod tests {
             l.transmit(32, None, 1, now);
         }
         let delivered: Vec<u32> = (1..=4)
-            .flat_map(|now| l.arrivals(now))
+            .flat_map(|now| arrived(&mut l, now))
             .map(|p| p.id)
             .collect();
         assert_eq!(delivered, vec![0, 1, 2, 3]);
@@ -515,7 +539,7 @@ mod tests {
         }
         // Same width, 2-byte slices: all four go in one cycle.
         l.transmit(32, Some(2), 1, 0);
-        let delivered: Vec<u32> = l.arrivals(1).iter().map(|p| p.id).collect();
+        let delivered: Vec<u32> = arrived(&mut l, 1).iter().map(|p| p.id).collect();
         assert_eq!(delivered, vec![0, 1, 2, 3]);
         assert_eq!(l.stats().occupied_bytes, 8);
     }
@@ -537,12 +561,16 @@ mod tests {
         l.push(pkt(1, 2));
         // 32 B/cycle sliced: packet 0 takes 3 cycles; packet 1 shares the
         // third cycle's leftover width.
-        let mut arrived = Vec::new();
+        let mut got = Vec::new();
         for now in 0..5 {
             l.transmit(32, Some(2), 1, now);
-            arrived.extend(l.arrivals(now + 1).into_iter().map(|p| (now + 1, p.id)));
+            got.extend(
+                arrived(&mut l, now + 1)
+                    .into_iter()
+                    .map(|p| (now + 1, p.id)),
+            );
         }
-        assert_eq!(arrived, vec![(3, 0), (3, 1)]);
+        assert_eq!(got, vec![(3, 0), (3, 1)]);
     }
 
     #[test]
@@ -552,7 +580,7 @@ mod tests {
         for now in 0..2 {
             l.transmit(32, None, 1, now);
         }
-        assert_eq!(l.arrivals(2).len(), 1);
+        assert_eq!(arrived(&mut l, 2).len(), 1);
         assert_eq!(l.stats().packets_sent, 1);
     }
 
@@ -571,7 +599,7 @@ mod tests {
         let mut order = Vec::new();
         for now in 1..6 {
             l.transmit(32, Some(2), 1, now);
-            order.extend(l.arrivals(now + 1).into_iter().map(|p| p.id));
+            order.extend(arrived(&mut l, now + 1).into_iter().map(|p| p.id));
         }
         assert_eq!(order, vec![0, 2, 1]);
     }
@@ -599,7 +627,7 @@ mod tests {
         }
         // One wide sliced cycle delivers everything in queue order.
         l.transmit(32, Some(2), 1, 0);
-        let order: Vec<u32> = l.arrivals(1).iter().map(|p| p.id).collect();
+        let order: Vec<u32> = arrived(&mut l, 1).iter().map(|p| p.id).collect();
         assert_eq!(order, vec![4, 2, 5, 0, 3, 1]);
     }
 
@@ -654,8 +682,8 @@ mod tests {
                         .drain(..before - link.queued_packets())
                         .map(|p| p.id)
                         .collect();
-                    let arrived: Vec<u32> = link.arrivals(now + 1).iter().map(|p| p.id).collect();
-                    assert_eq!(arrived, sent, "seed {seed}, slice {slice:?}");
+                    let got: Vec<u32> = arrived(&mut link, now + 1).iter().map(|p| p.id).collect();
+                    assert_eq!(got, sent, "seed {seed}, slice {slice:?}");
                     assert!(link.queue.iter().eq(reference.iter()), "seed {seed}");
                     let recomputed = reference.iter().map(|p| u64::from(p.bytes)).sum::<u64>()
                         - u64::from(link.head_sent);
@@ -691,8 +719,8 @@ mod tests {
         }
         ch.tick(0);
         // Forward got fixed 8 + both bidir lanes (16) = 24 bytes → 3 packets.
-        assert_eq!(ch.fwd.arrivals(1).len(), 3);
-        assert!(ch.rev.arrivals(1).is_empty());
+        assert_eq!(arrived(&mut ch.fwd, 1).len(), 3);
+        assert!(arrived(&mut ch.rev, 1).is_empty());
     }
 
     #[test]
@@ -711,8 +739,8 @@ mod tests {
         }
         ch.tick(0);
         // Each direction: 8 fixed + 8 granted = 2 packets.
-        assert_eq!(ch.fwd.arrivals(1).len(), 2);
-        assert_eq!(ch.rev.arrivals(1).len(), 2);
+        assert_eq!(arrived(&mut ch.fwd, 1).len(), 2);
+        assert_eq!(arrived(&mut ch.rev, 1).len(), 2);
     }
 
     #[test]
@@ -753,21 +781,64 @@ mod tests {
     }
 
     #[test]
-    fn skip_idle_matches_ticking_an_idle_channel() {
+    fn charge_idle_matches_ticking_an_idle_channel() {
         for cfg in [
             LinkConfig::sub_ring(),
             LinkConfig::main_ring(),
             LinkConfig::main_ring().conventional(),
         ] {
             let mut ticked: Channel<Pkt> = Channel::new(cfg);
-            let mut skipped: Channel<Pkt> = Channel::new(cfg);
+            let mut charged: Channel<Pkt> = Channel::new(cfg);
             for now in 0..100 {
                 ticked.tick(now);
             }
-            skipped.skip_idle(0, 100);
-            assert_eq!(ticked.fwd.stats(), skipped.fwd.stats());
-            assert_eq!(ticked.rev.stats(), skipped.rev.stats());
+            charged.charge_idle(100);
+            assert_eq!(ticked.fwd.stats(), charged.fwd.stats());
+            assert_eq!(ticked.rev.stats(), charged.rev.stats());
         }
+    }
+
+    #[test]
+    fn wire_pops_by_due_cycle_after_a_hop_latency_drop() {
+        let mut ch: Channel<Pkt> = Channel::new(LinkConfig {
+            hop_latency: 4,
+            ..LinkConfig::sub_ring()
+        });
+        // Cycle 0 sends 0 and 1 (due 4), cycle 1 sends 2 (due 5).
+        for i in 0..3 {
+            ch.fwd.push(pkt(i, 12));
+        }
+        ch.tick(0);
+        ch.tick(1);
+        // At latency 1, cycle 2 sends 3 and 4 (due 3) and cycle 3 sends 5
+        // (due 4): ahead of 0 and 1, and behind them among equal dues.
+        ch.set_config(LinkConfig::sub_ring());
+        for i in 3..6 {
+            ch.fwd.push(pkt(i, 12));
+        }
+        ch.tick(2);
+        ch.tick(3);
+        assert_eq!(ch.next_event(0), Some(3));
+        let order: Vec<(Cycle, Vec<u32>)> = (0..=5)
+            .map(|now| {
+                (
+                    now,
+                    arrived(&mut ch.fwd, now).iter().map(|p| p.id).collect(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                (0, vec![]),
+                (1, vec![]),
+                (2, vec![]),
+                (3, vec![3, 4]),
+                (4, vec![0, 1, 5]),
+                (5, vec![2]),
+            ]
+        );
+        assert!(ch.is_empty());
     }
 
     #[test]
@@ -780,7 +851,7 @@ mod tests {
         assert_eq!(ch.next_event(5), Some(6));
         assert_eq!(ch.fwd.next_arrival(), None);
         assert_eq!(ch.rev.next_arrival(), Some(6));
-        let _ = ch.rev.arrivals(6);
+        let _ = arrived(&mut ch.rev, 6);
         assert_eq!(ch.next_event(7), None);
     }
 }

@@ -178,39 +178,45 @@ impl<T: Transmittable> Mesh<T> {
         )
     }
 
+    /// An item reaching router `at` after one more hop: routed onward, or
+    /// delivered into `out`.
+    fn hop(
+        &mut self,
+        at: (usize, usize),
+        mut it: MeshItem<T>,
+        now: Cycle,
+        out: &mut Vec<((usize, usize), T)>,
+    ) {
+        it.hops += 1;
+        let dst = it.dst;
+        if let Some(v) = self.route(at, it, now) {
+            out.push((dst, v));
+        }
+    }
+
     /// Advances one cycle; returns `(dst, item)` for deliveries.
     pub fn tick(&mut self, now: Cycle) -> Vec<((usize, usize), T)> {
         let mut out = Vec::new();
-        // Arrivals, then forwarding decisions at each router.
-        let mut moved: Vec<((usize, usize), MeshItem<T>)> = Vec::new();
+        // Arrivals, routed as they pop: routing writes only queues, so the
+        // routing calls keep the order of a collect-then-route pass.
         for y in 0..self.h {
             for x in 0..self.w - 1 {
-                for mut it in self.east[y][x].arrivals(now) {
-                    it.hops += 1;
-                    moved.push(((x + 1, y), it));
+                while let Some(it) = self.east[y][x].pop_arrival(now) {
+                    self.hop((x + 1, y), it, now, &mut out);
                 }
-                for mut it in self.west[y][x].arrivals(now) {
-                    it.hops += 1;
-                    moved.push(((x, y), it));
+                while let Some(it) = self.west[y][x].pop_arrival(now) {
+                    self.hop((x, y), it, now, &mut out);
                 }
             }
         }
         for y in 0..self.h - 1 {
             for x in 0..self.w {
-                for mut it in self.south[y][x].arrivals(now) {
-                    it.hops += 1;
-                    moved.push(((x, y + 1), it));
+                while let Some(it) = self.south[y][x].pop_arrival(now) {
+                    self.hop((x, y + 1), it, now, &mut out);
                 }
-                for mut it in self.north[y][x].arrivals(now) {
-                    it.hops += 1;
-                    moved.push(((x, y), it));
+                while let Some(it) = self.north[y][x].pop_arrival(now) {
+                    self.hop((x, y), it, now, &mut out);
                 }
-            }
-        }
-        for (pos, it) in moved {
-            let dst = it.dst;
-            if let Some(v) = self.route(pos, it, now) {
-                out.push((dst, v));
             }
         }
         // Transmit: each mesh link gets the full per-direction capacity

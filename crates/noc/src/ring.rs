@@ -5,6 +5,10 @@
 //! ride it to the exit position. Per-hop cost is one channel traversal;
 //! the channel model (including bidirectional lane granting and
 //! high-density slicing) lives in [`crate::link`].
+//!
+//! A tick costs the channels that hold something, not the ring's size: a
+//! bitset names the busy channels, and an idle channel's offered
+//! capacity is charged lazily from a ring-wide cycle count.
 
 use smarco_sim::Cycle;
 
@@ -59,6 +63,14 @@ pub struct RingStats {
 pub struct Ring<T> {
     /// `channels[i]` joins position `i` (fwd = cw) and `i+1 mod n`.
     channels: Vec<Channel<RingItem<T>>>,
+    /// Bit `i` is set while `channels[i]` holds anything queued or on the
+    /// wire.
+    busy: Vec<u64>,
+    /// Cycles accounted so far: one per tick, `to - from` per skip.
+    cycles: u64,
+    /// How many of those cycles each channel's statistics include; the
+    /// rest were idle and are charged on settling.
+    settled: Vec<u64>,
     n: usize,
     /// When on, high-class items (class ≥ 2) pick their direction by a
     /// congestion-weighted cost instead of pure minimum hops.
@@ -77,6 +89,9 @@ impl<T: Transmittable> Ring<T> {
         link.validate();
         Self {
             channels: (0..n).map(|_| Channel::new(link)).collect(),
+            busy: vec![0; n.div_ceil(64)],
+            cycles: 0,
+            settled: vec![0; n],
             n,
             adaptive: false,
             stats: RingStats::default(),
@@ -115,7 +130,23 @@ impl<T: Transmittable> Ring<T> {
     /// Panics if `i` is out of range or the config is invalid.
     pub fn set_channel_config(&mut self, i: usize, link: LinkConfig) {
         assert!(i < self.n, "channel {i} out of range");
+        self.settle(i);
         self.channels[i].set_config(link);
+    }
+
+    /// Charges channel `i` the idle cycles its statistics miss, at its
+    /// current geometry.
+    fn settle(&mut self, i: usize) {
+        self.channels[i].charge_idle(self.cycles - self.settled[i]);
+        self.settled[i] = self.cycles;
+    }
+
+    /// Indices of the busy channels, ascending.
+    fn busy_channels(&self) -> impl Iterator<Item = usize> + '_ {
+        self.busy
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(word, w * 64))
     }
 
     /// Hop distance from `a` to `b` travelling `dir`.
@@ -190,47 +221,73 @@ impl<T: Transmittable> Ring<T> {
     }
 
     fn push_out(&mut self, at: usize, item: RingItem<T>) {
+        let ch = match item.dir {
+            Dir::Cw => at,
+            Dir::Ccw => (at + self.n - 1) % self.n,
+        };
+        self.busy[ch / 64] |= 1 << (ch % 64);
         match item.dir {
-            Dir::Cw => self.channels[at].fwd.push(item),
-            Dir::Ccw => self.channels[(at + self.n - 1) % self.n].rev.push(item),
+            Dir::Cw => self.channels[ch].fwd.push(item),
+            Dir::Ccw => self.channels[ch].rev.push(item),
+        }
+    }
+
+    /// An item reaching position `pos`: delivered at its exit, queued
+    /// onward otherwise.
+    fn arrive(&mut self, pos: usize, mut it: RingItem<T>, delivered: &mut Vec<(usize, u32, T)>) {
+        it.hops += 1;
+        if it.exit == pos {
+            self.stats.delivered += 1;
+            self.stats.total_hops += u64::from(it.hops);
+            delivered.push((pos, it.hops, it.item));
+        } else {
+            self.push_out(pos, it);
         }
     }
 
     /// Advances one cycle; returns `(exit_position, hops, item)` for every
-    /// item that reached its exit.
+    /// item that reached its exit, in channel order (forward before
+    /// reverse within a channel).
+    ///
+    /// Only busy channels are visited. Arrivals are forwarded as they pop:
+    /// `channels[j].fwd` is fed only by `channels[j-1].fwd` and
+    /// `channels[j].rev` only by `channels[j+1].rev`, so every output queue
+    /// has one upstream direction per tick and its order does not depend
+    /// on the visiting order. A channel with nothing queued is not
+    /// ticked; its offered capacity is charged when it is next settled.
     pub fn tick(&mut self, now: Cycle) -> Vec<(usize, u32, T)> {
         let mut delivered = Vec::new();
-        // 1. Arrivals: collect from every channel, then forward or eject.
-        let mut moved: Vec<(usize, RingItem<T>)> = Vec::new();
-        for i in 0..self.n {
-            for mut it in self.channels[i].fwd.arrivals(now) {
-                it.hops += 1;
-                moved.push(((i + 1) % self.n, it));
-            }
-            for mut it in self.channels[i].rev.arrivals(now) {
-                it.hops += 1;
-                moved.push((i, it));
-            }
-        }
-        for (pos, it) in moved {
-            if it.exit == pos {
-                self.stats.delivered += 1;
-                self.stats.total_hops += u64::from(it.hops);
-                delivered.push((pos, it.hops, it.item));
-            } else {
-                self.push_out(pos, it);
+        // 1. Arrivals. A channel that turns busy here has an empty wire.
+        for w in 0..self.busy.len() {
+            for i in set_bits(self.busy[w], w * 64) {
+                while let Some(it) = self.channels[i].fwd.pop_arrival(now) {
+                    self.arrive((i + 1) % self.n, it, &mut delivered);
+                }
+                while let Some(it) = self.channels[i].rev.pop_arrival(now) {
+                    self.arrive(i, it, &mut delivered);
+                }
             }
         }
-        // 2. Transmit on every channel.
-        for ch in &mut self.channels {
-            ch.tick(now);
+        // 2. Transmit where bytes are queued; drop emptied channels.
+        for w in 0..self.busy.len() {
+            for i in set_bits(self.busy[w], w * 64) {
+                if self.channels[i].has_queued() {
+                    self.settle(i);
+                    self.channels[i].tick(now);
+                    self.settled[i] = self.cycles + 1;
+                }
+                if self.channels[i].is_empty() {
+                    self.busy[w] &= !(1 << (i % 64));
+                }
+            }
         }
+        self.cycles += 1;
         delivered
     }
 
     /// Whether nothing is queued or in flight anywhere on the ring.
     pub fn is_idle(&self) -> bool {
-        self.channels.iter().all(Channel::is_empty)
+        self.busy.iter().all(|&word| word == 0)
     }
 
     /// Event horizon: the earliest cycle at or after `now` at which any
@@ -239,27 +296,45 @@ impl<T: Transmittable> Ring<T> {
     /// exactly at `t` — the wire due-cycle is an exact horizon, not an
     /// approximation. `None` when the ring is fully drained.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.channels
-            .iter()
-            .filter_map(|ch| ch.next_event(now))
+        self.busy_channels()
+            .filter_map(|i| self.channels[i].next_event(now))
             .min()
     }
 
-    /// Fast-forwards an idle ring across `[from, to)`: every channel
-    /// accumulates its idle-grant offered-capacity statistics without
-    /// being ticked.
+    /// Fast-forwards an idle ring across `[from, to)` in O(1): the skipped
+    /// cycles join the ring's cycle count, and each channel's idle-grant
+    /// capacity is charged when it is next settled.
+    ///
+    /// Debug builds assert the ring really is quiescent through `to` — a
+    /// lying [`next_event`](Self::next_event) trips these rather than
+    /// silently corrupting results.
     pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        for ch in &mut self.channels {
-            ch.skip_idle(from, to);
-        }
+        debug_assert!(
+            self.busy_channels().all(|i| !self.channels[i].has_queued()),
+            "cycle-skipped a ring with queued traffic"
+        );
+        debug_assert!(
+            self.busy_channels().all(|i| {
+                let ch = &self.channels[i];
+                [ch.fwd.next_arrival(), ch.rev.next_arrival()]
+                    .into_iter()
+                    .all(|due| due.is_none_or(|d| d >= to))
+            }),
+            "cycle-skipped past an in-flight arrival"
+        );
+        self.cycles += to - from;
     }
 
     /// Cumulative `(payload, offered)` bytes summed over all channel
     /// directions. Monotonic counters: the windowed-metrics recorder diffs
-    /// successive snapshots to get per-window utilization.
+    /// successive snapshots to get per-window utilization. Unsettled idle
+    /// cycles are added to the stored counters without settling them, so
+    /// a read changes nothing.
     pub fn payload_offered_bytes(&self) -> (u64, u64) {
         let (mut payload, mut offered) = (0u64, 0u64);
-        for ch in &self.channels {
+        for (ch, &settled) in self.channels.iter().zip(&self.settled) {
+            let (fwd, rev) = ch.idle_offer(self.cycles - settled);
+            offered += fwd + rev;
             for s in [ch.fwd.stats(), ch.rev.stats()] {
                 payload += s.payload_bytes;
                 offered += s.offered_bytes;
@@ -277,6 +352,17 @@ impl<T: Transmittable> Ring<T> {
             payload as f64 / offered as f64
         }
     }
+}
+
+/// Indices of the set bits of `word`, ascending, offset by `base`.
+fn set_bits(mut word: u64, base: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            base + bit
+        })
+    })
 }
 
 #[cfg(test)]
@@ -419,6 +505,149 @@ mod tests {
         assert_eq!(r.next_event(3), Some(4));
         let _ = run_until_delivered(&mut r, 20);
         assert_eq!(r.next_event(20), None);
+    }
+
+    /// A ring item with an identity, a size and an arbitration class.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tagged {
+        id: u32,
+        bytes: u32,
+        class: u8,
+    }
+
+    impl Transmittable for Tagged {
+        fn bytes(&self) -> u32 {
+            self.bytes
+        }
+        fn class(&self) -> u8 {
+            self.class
+        }
+    }
+
+    // The all-channel ring as it was before busy sets and lazy idle
+    // charging: a tick collects every channel's arrivals, then forwards
+    // them, then ticks every channel; a skip charges every channel at
+    // once. It never advances the ring's cycle count, so
+    // `payload_offered_bytes` finds nothing unsettled on it.
+
+    fn ref_tick<T: Transmittable>(r: &mut Ring<T>, now: Cycle) -> Vec<(usize, u32, T)> {
+        let mut delivered = Vec::new();
+        let mut moved: Vec<(usize, RingItem<T>)> = Vec::new();
+        for i in 0..r.n {
+            while let Some(mut it) = r.channels[i].fwd.pop_arrival(now) {
+                it.hops += 1;
+                moved.push(((i + 1) % r.n, it));
+            }
+            while let Some(mut it) = r.channels[i].rev.pop_arrival(now) {
+                it.hops += 1;
+                moved.push((i, it));
+            }
+        }
+        for (pos, it) in moved {
+            if it.exit == pos {
+                r.stats.delivered += 1;
+                r.stats.total_hops += u64::from(it.hops);
+                delivered.push((pos, it.hops, it.item));
+            } else {
+                r.push_out(pos, it);
+            }
+        }
+        for ch in &mut r.channels {
+            ch.tick(now);
+        }
+        delivered
+    }
+
+    fn ref_next_event<T: Transmittable>(r: &Ring<T>, now: Cycle) -> Option<Cycle> {
+        r.channels.iter().filter_map(|ch| ch.next_event(now)).min()
+    }
+
+    fn ref_is_idle<T: Transmittable>(r: &Ring<T>) -> bool {
+        r.channels.iter().all(Channel::is_empty)
+    }
+
+    fn ref_skip_idle<T: Transmittable>(r: &mut Ring<T>, from: Cycle, to: Cycle) {
+        for ch in &mut r.channels {
+            ch.charge_idle(to - from);
+        }
+    }
+
+    #[test]
+    fn busy_set_ring_matches_an_all_channel_reference() {
+        // Seeded injects, ticks and idle skips, replayed on the reference.
+        // Traffic comes in bursts with quiet stretches between them, so
+        // channels go idle, skip and wake up again; at cycle 300 some
+        // channels change their lanes and drop the hop latency from 3 to
+        // 1 while items are on their wires. 70 positions make the busy
+        // set span two words.
+        let slow = LinkConfig {
+            hop_latency: 3,
+            ..LinkConfig::sub_ring()
+        };
+        let fast = LinkConfig {
+            lanes_fixed_per_dir: 2,
+            lanes_bidir: 1,
+            hop_latency: 1,
+            ..LinkConfig::sub_ring()
+        };
+        for n in [2, 17, 22, 70] {
+            for seed in 1..=4 {
+                let mut rng = smarco_sim::rng::SimRng::new(seed * 1_000 + n as u64);
+                let mut ring = Ring::new(n, slow);
+                let mut reference = Ring::new(n, slow);
+                ring.set_adaptive(seed % 2 == 0);
+                reference.set_adaptive(seed % 2 == 0);
+                let mut next_id = 0;
+                let mut now = 0;
+                while now < 1_500 {
+                    let burst = match now {
+                        0..400 => 7,
+                        600..900 => 3,
+                        _ => 1,
+                    };
+                    for _ in 0..rng.gen_range(burst) {
+                        let item = Tagged {
+                            id: next_id,
+                            bytes: 1 + rng.gen_range(40) as u32,
+                            class: rng.gen_range(4) as u8,
+                        };
+                        next_id += 1;
+                        let (at, exit) = (rng.gen_index(n), rng.gen_index(n));
+                        let want = reference.inject(at, exit, item.clone());
+                        assert_eq!(ring.inject(at, exit, item), want);
+                    }
+                    if now == 300 {
+                        for i in (0..n).filter(|_| rng.chance(0.5)) {
+                            ring.set_channel_config(i, fast);
+                            reference.set_channel_config(i, fast);
+                        }
+                    }
+                    let ctx = format!("n {n}, seed {seed}, cycle {now}");
+                    let horizon = ring.next_event(now);
+                    assert_eq!(horizon, ref_next_event(&reference, now), "{ctx}");
+                    assert_eq!(ring.is_idle(), ref_is_idle(&reference), "{ctx}");
+                    if rng.chance(0.5) && horizon.is_none_or(|t| t > now) {
+                        let to = horizon
+                            .unwrap_or(Cycle::MAX)
+                            .min(now + 1 + rng.gen_range(30));
+                        ring.skip_idle(now, to);
+                        ref_skip_idle(&mut reference, now, to);
+                        now = to;
+                    } else {
+                        let want = ref_tick(&mut reference, now);
+                        assert_eq!(ring.tick(now), want, "{ctx}");
+                        now += 1;
+                    }
+                    assert_eq!(
+                        ring.payload_offered_bytes(),
+                        reference.payload_offered_bytes(),
+                        "{ctx}"
+                    );
+                    assert_eq!(ring.stats(), reference.stats(), "{ctx}");
+                }
+                assert!(ring.is_idle(), "n {n}, seed {seed}: traffic drained");
+            }
+        }
     }
 
     #[test]

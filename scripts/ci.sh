@@ -32,16 +32,34 @@ echo "==> rack smoke (2-chip cluster serves a short stream; every request"
 echo "    completes and the latency histogram is non-empty)"
 cargo run --offline --release -p smarco-bench --bin rack -- --smoke
 
+# The sweeps below write to temp files, never over the committed BENCH
+# files, and must reproduce those files' simulated fields: only host
+# timings (`wall_seconds`) and the host CPU count may differ. A change that
+# moves a simulated number regenerates the committed file on purpose.
+ci_tmp="$(mktemp -d)"
+trap 'rm -rf "$ci_tmp"' EXIT
+sim_fields() {
+    sed -E 's/"(wall_seconds|cpus)":[0-9.]+//g' "$1"
+}
+check_bench() {
+    if ! diff <(sim_fields "$1") <(sim_fields "$ci_tmp/$1") >&2; then
+        echo "ci: $1 no longer matches the sweep's simulated fields" >&2
+        exit 1
+    fi
+}
+
 echo "==> noc_sweep smoke (backends x benchmarks x criticality matrix;"
 echo "    exits non-zero if any backend fails to drain a benchmark)"
-cargo run --offline --release -p smarco-bench --bin noc_sweep
+cargo run --offline --release -p smarco-bench --bin noc_sweep -- --json "$ci_tmp/BENCH_noc.json"
+check_bench BENCH_noc.json
 
 echo "==> chaos smoke (seeded fault run; exits non-zero on zero retries)"
 cargo run --offline --release -p smarco-bench --bin scale -- --faults 42
 
 echo "==> scale bench (PDES speedup sweep + cycle-skip study; asserts"
 echo "    bit-identical reports and a non-zero skip ratio on TeraSort)"
-cargo run --offline --release -p smarco-bench --bin scale
+cargo run --offline --release -p smarco-bench --bin scale -- --json "$ci_tmp/BENCH_cycle_skip.json"
+check_bench BENCH_cycle_skip.json
 
 echo "==> perf-regression gate (sequential engine vs committed baseline;"
 echo "    plus a 4-worker leg on hosts with >=4 CPUs when the baseline"
@@ -54,8 +72,7 @@ cargo run --offline --release -p smarco-bench --bin lint -- --deny-warnings
 
 echo "==> negative-config corpus (each seeded bad config must reproduce its"
 echo "    codes; exit 1 = diagnostics present as expected, 2 = regression)"
-corpus_json="$(mktemp)"
-trap 'rm -f "$corpus_json"' EXIT
+corpus_json="$ci_tmp/corpus.json"
 set +e
 cargo run --offline --release -p smarco-bench --bin lint -- --corpus --json "$corpus_json"
 corpus_status=$?
