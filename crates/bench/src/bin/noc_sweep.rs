@@ -1,5 +1,5 @@
-//! NoC backend sweep: backends × HTC benchmarks × criticality routing.
-//! Pass `--backend ring|mesh|buffered` to sweep one backend only and
+//! NoC backend sweep: backends × HTC benchmarks.
+//! Pass `--backend ring|mesh` to sweep one backend only and
 //! `--json <path>` to choose the output file (default `BENCH_noc.json`).
 
 use smarco_bench::BenchArgs;
@@ -9,7 +9,7 @@ fn main() {
     let report = smarco_bench::noc_sweep::sweep_backend(args.scale, args.backend.as_deref());
     if report.entries.is_empty() {
         eprintln!(
-            "smarco-bench: no such backend `{}` (known: ring, mesh, buffered)",
+            "smarco-bench: no such backend `{}` (known: ring, mesh)",
             args.backend.as_deref().unwrap_or(""),
         );
         std::process::exit(2);
@@ -18,12 +18,7 @@ fn main() {
         println!(
             "{}",
             smarco_bench::format_row(
-                &format!(
-                    "{}/{}{}",
-                    e.backend,
-                    e.bench,
-                    if e.criticality_routing { "+" } else { "" }
-                ),
+                &format!("{}/{}", e.backend, e.bench),
                 &[
                     ("ipc", e.ipc),
                     ("mem_lat", e.mem_latency),

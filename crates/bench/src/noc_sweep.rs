@@ -1,8 +1,7 @@
 //! Machine-readable NoC-backend sweep records.
 //!
 //! The `noc_sweep` binary runs every pluggable interconnect backend
-//! (`ring`, `mesh`, `buffered`) across all six HTC benchmarks, once with
-//! criticality-aware routing off and once with it on, and writes the
+//! (`ring`, `mesh`) across all six HTC benchmarks and writes the
 //! resulting latency/utilization matrix to [`BENCH_FILE`] in the working
 //! directory. The file gives the repo a trajectory for the backend
 //! comparison the same way `BENCH_cycle_skip.json` tracks the skipper.
@@ -12,7 +11,7 @@ use std::time::Instant;
 
 use smarco_core::chip::SmarcoSystem;
 use smarco_core::config::SmarcoConfig;
-use smarco_noc::{BufferedNocConfig, NocBackendKind};
+use smarco_noc::NocBackendKind;
 use smarco_sim::rng::SimRng;
 use smarco_workloads::{Benchmark, HtcStream};
 
@@ -27,24 +26,18 @@ const THREADS_PER_CORE: usize = 2;
 /// Simulated-cycle ceiling; a drained chip stops well before it.
 const MAX_CYCLES: u64 = 10_000_000;
 
-/// The three backend contenders the sweep compares.
-pub fn contenders() -> [NocBackendKind; 3] {
-    [
-        NocBackendKind::Ring,
-        NocBackendKind::Mesh,
-        NocBackendKind::Buffered(BufferedNocConfig::default()),
-    ]
+/// The backend contenders the sweep compares.
+pub fn contenders() -> [NocBackendKind; 2] {
+    [NocBackendKind::Ring, NocBackendKind::Mesh]
 }
 
-/// One (backend, benchmark, routing-mode) measurement.
+/// One (backend, benchmark) measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NocSweepEntry {
-    /// Backend name (`ring`, `mesh`, `buffered`).
+    /// Backend name (`ring`, `mesh`).
     pub backend: &'static str,
     /// HTC benchmark name.
     pub bench: &'static str,
-    /// Whether criticality-aware routing was on.
-    pub criticality_routing: bool,
     /// Simulated cycles to drain the chip.
     pub cycles: u64,
     /// Instructions per cycle over the run.
@@ -62,13 +55,12 @@ pub struct NocSweepEntry {
 impl NocSweepEntry {
     fn to_json(&self) -> String {
         format!(
-            "{{\"backend\":\"{}\",\"bench\":\"{}\",\"criticality_routing\":{},\
-             \"cycles\":{},\"ipc\":{:.6},\"mem_latency\":{:.4},\
+            "{{\"backend\":\"{}\",\"bench\":\"{}\",\"cycles\":{},\
+             \"ipc\":{:.6},\"mem_latency\":{:.4},\
              \"main_ring_utilization\":{:.6},\"subring_utilization\":{:.6},\
              \"wall_seconds\":{:.6}}}",
             self.backend,
             self.bench,
-            self.criticality_routing,
             self.cycles,
             self.ipc,
             self.mem_latency,
@@ -84,7 +76,7 @@ impl NocSweepEntry {
 pub struct NocSweepReport {
     /// Host context of the sweep.
     pub host: HostInfo,
-    /// Entries in run order (backend-major, then benchmark, then mode).
+    /// Entries in run order (backend-major, then benchmark).
     pub entries: Vec<NocSweepEntry>,
 }
 
@@ -123,12 +115,9 @@ impl NocSweepReport {
 }
 
 /// A small chip on `backend` loaded with one benchmark's threads.
-fn loaded(backend: NocBackendKind, bench: Benchmark, routing: bool, instrs: u64) -> SmarcoSystem {
+fn loaded(backend: NocBackendKind, bench: Benchmark, instrs: u64) -> SmarcoSystem {
     let mut cfg = SmarcoConfig::tiny();
-    cfg.noc = cfg
-        .noc
-        .with_backend(backend)
-        .with_criticality_routing(routing);
+    cfg.noc = cfg.noc.with_backend(backend);
     let mut sys = crate::harness::build_system(&cfg);
     let teams = sys.cores_len() * THREADS_PER_CORE;
     let mut seed = 11u64;
@@ -145,7 +134,7 @@ fn loaded(backend: NocBackendKind, bench: Benchmark, routing: bool, instrs: u64)
     sys
 }
 
-/// Runs the full backends × benchmarks × routing-mode matrix.
+/// Runs the full backends × benchmarks matrix.
 ///
 /// A run that fails to drain within the cycle ceiling is a broken
 /// backend contract; the sweep is a batch job, so it reports the failing
@@ -168,31 +157,27 @@ pub fn sweep_backend(scale: Scale, only: Option<&str>) -> NocSweepReport {
             continue;
         }
         for bench in Benchmark::ALL {
-            for routing in [false, true] {
-                let mut sys = loaded(backend, bench, routing, instrs);
-                let start = Instant::now();
-                let r = sys.run(MAX_CYCLES);
-                if !sys.is_done() {
-                    eprintln!(
-                        "smarco-bench: {} backend failed to drain {} (criticality {})",
-                        backend.name(),
-                        bench.name(),
-                        if routing { "on" } else { "off" },
-                    );
-                    std::process::exit(3);
-                }
-                report.entries.push(NocSweepEntry {
-                    backend: backend.name(),
-                    bench: bench.name(),
-                    criticality_routing: routing,
-                    cycles: r.cycles,
-                    ipc: r.ipc(),
-                    mem_latency: r.mem_latency.mean(),
-                    main_ring_utilization: r.main_ring_utilization,
-                    subring_utilization: r.subring_utilization,
-                    wall_seconds: start.elapsed().as_secs_f64(),
-                });
+            let mut sys = loaded(backend, bench, instrs);
+            let start = Instant::now();
+            let r = sys.run(MAX_CYCLES);
+            if !sys.is_done() {
+                eprintln!(
+                    "smarco-bench: {} backend failed to drain {}",
+                    backend.name(),
+                    bench.name(),
+                );
+                std::process::exit(3);
             }
+            report.entries.push(NocSweepEntry {
+                backend: backend.name(),
+                bench: bench.name(),
+                cycles: r.cycles,
+                ipc: r.ipc(),
+                mem_latency: r.mem_latency.mean(),
+                main_ring_utilization: r.main_ring_utilization,
+                subring_utilization: r.subring_utilization,
+                wall_seconds: start.elapsed().as_secs_f64(),
+            });
         }
     }
     report
@@ -204,9 +189,8 @@ mod tests {
 
     fn entry() -> NocSweepEntry {
         NocSweepEntry {
-            backend: "buffered",
+            backend: "mesh",
             bench: "wordcount",
-            criticality_routing: true,
             cycles: 1_000,
             ipc: 0.5,
             mem_latency: 42.25,
@@ -225,16 +209,15 @@ mod tests {
         let j = r.to_json();
         assert!(j.starts_with("{\"host\":{"), "{j}");
         assert!(j.contains("\"entries\":["), "{j}");
-        assert!(j.contains("\"backend\":\"buffered\""), "{j}");
+        assert!(j.contains("\"backend\":\"mesh\""), "{j}");
         assert!(j.contains("\"bench\":\"wordcount\""), "{j}");
-        assert!(j.contains("\"criticality_routing\":true"), "{j}");
         assert!(j.contains("\"mem_latency\":42.2500"), "{j}");
     }
 
     #[test]
     fn the_contenders_cover_every_backend_name() {
         let names: Vec<_> = contenders().iter().map(NocBackendKind::name).collect();
-        assert_eq!(names, ["ring", "mesh", "buffered"]);
+        assert_eq!(names, ["ring", "mesh"]);
     }
 
     #[test]
@@ -246,7 +229,7 @@ mod tests {
 
     #[test]
     fn one_cell_of_the_matrix_runs_and_measures() {
-        let mut sys = loaded(NocBackendKind::Mesh, Benchmark::WordCount, true, 50);
+        let mut sys = loaded(NocBackendKind::Mesh, Benchmark::WordCount, 50);
         let r = sys.run(MAX_CYCLES);
         assert!(sys.is_done(), "mesh wordcount cell drained");
         assert!(r.instructions > 0);

@@ -136,21 +136,6 @@ impl SubDispatcher {
         self.pending.is_empty() && self.dispatched.is_empty()
     }
 
-    /// Whether any task bound to local core `core` is deadline-tight at
-    /// `now`: its remaining slack (deadline − now) is below its work
-    /// estimate, so every memory round-trip eats directly into laxity.
-    /// Criticality routing uses this to elevate the core's demand
-    /// traffic.
-    pub fn is_deadline_tight(&self, core: usize, now: Cycle) -> bool {
-        self.dispatched.iter().any(|(&(c, _slot), &(task, work))| {
-            c == core
-                && self
-                    .deadlines
-                    .get(&task)
-                    .is_some_and(|&d| d.saturating_sub(now) < work)
-        })
-    }
-
     /// Event horizon: the earliest cycle at or after `now` the dispatcher
     /// can act, given whether any local core currently has a vacant slot.
     /// Collection of retirees is covered by the cores' own horizons (a

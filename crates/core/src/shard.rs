@@ -24,7 +24,7 @@ use smarco_mem::map::{channel_of, AddressSpace};
 use smarco_mem::request::{MemRequest, RequestId, RequestIdAllocator};
 use smarco_noc::backend::{build_hub_backend, build_sub_backend, Entry, NocBackend, NocEvent};
 use smarco_noc::direct::DirectSpoke;
-use smarco_noc::packet::{Criticality, NodeId, Packet};
+use smarco_noc::packet::{NodeId, Packet};
 use smarco_sched::{MainScheduler, Task};
 use smarco_sim::event::EventWheel;
 use smarco_sim::obs::{TraceConfig, TraceSink};
@@ -195,9 +195,6 @@ pub struct SubShard {
     cores_per_subring: usize,
     channels: usize,
     mact_on: bool,
-    /// Whether packets carry consumer-derived criticality for the
-    /// backend's arbitration (and MACT bypass for elevated traffic).
-    criticality_routing: bool,
     /// Whether cycle skipping is on, which lets an idle sub-ring go
     /// unticked (see [`tick_noc`]).
     cycle_skip: bool,
@@ -262,7 +259,6 @@ impl SubShard {
             cores_per_subring: cps,
             channels: config.dram.channels,
             mact_on: config.mact.is_some(),
-            criticality_routing: config.noc.criticality_routing,
             cycle_skip: config.cycle_skip,
             cores,
             noc: build_sub_backend(&config.noc, sr),
@@ -431,28 +427,6 @@ impl SubShard {
         core % self.cores_per_subring
     }
 
-    /// Consumer-derived criticality of a fresh core request (only
-    /// consulted when criticality routing is on): real-time reads gate a
-    /// hardware deadline, DMA pulls are latency-tolerant bulk, and a
-    /// deadline-tight task's demand traffic is elevated.
-    fn classify_criticality(
-        &self,
-        local: usize,
-        kind: RequestKind,
-        realtime: bool,
-        now: Cycle,
-    ) -> Criticality {
-        if realtime {
-            Criticality::Critical
-        } else if matches!(kind, RequestKind::DmaPull { .. }) {
-            Criticality::Bulk
-        } else if self.dispatcher.is_deadline_tight(local, now) {
-            Criticality::Elevated
-        } else {
-            Criticality::Normal
-        }
-    }
-
     /// Injects a core-sourced packet; local exits may deliver instantly.
     fn send_from_core(
         &mut self,
@@ -532,16 +506,13 @@ impl SubShard {
         if let RequestKind::DmaPull { owner, .. } = r.kind {
             // DMA command descriptor to the owning core; the data rides
             // back as one (possibly multi-cycle) packet.
-            let mut pkt = self.packet(
+            let pkt = self.packet(
                 NodeId::Core(core),
                 NodeId::Core(owner),
                 REQ_HEADER_BYTES,
                 now,
                 ChipPayload::DmaReq(ucr),
             );
-            if self.criticality_routing {
-                pkt.criticality = Criticality::Bulk;
-            }
             self.send_from_core(core, pkt, now, outbox);
             return;
         }
@@ -574,15 +545,7 @@ impl SubShard {
         } else {
             REQ_HEADER_BYTES
         };
-        let crit = if self.criticality_routing {
-            self.classify_criticality(self.local_pos(core), r.kind, realtime, now)
-        } else {
-            Criticality::Normal
-        };
-        // Elevated (deadline-tight) traffic skips MACT collection: the
-        // batching deadline it would wait out is exactly the latency it
-        // cannot afford.
-        let mact_on = self.mact_on && !realtime && crit < Criticality::Elevated;
+        let mact_on = self.mact_on && !realtime;
         let dst = if mact_on {
             NodeId::Junction(self.sr)
         } else {
@@ -590,7 +553,6 @@ impl SubShard {
         };
         let mut pkt = self.packet(NodeId::Core(core), dst, bytes, now, ChipPayload::Req(ucr));
         pkt.realtime = realtime;
-        pkt.criticality = crit;
         self.send_from_core(core, pkt, now, outbox);
     }
 
@@ -621,14 +583,13 @@ impl SubShard {
                         };
                         let dst = NodeId::MemCtrl(channel_of(req.mem.addr, self.channels));
                         let ucr2 = UncoreReq { req, ..ucr };
-                        let mut p = self.packet(
+                        let p = self.packet(
                             NodeId::Junction(sr),
                             dst,
                             bytes,
                             now,
                             ChipPayload::Req(ucr2),
                         );
-                        p.criticality = pkt.criticality;
                         outbox.send(self.hub, now + self.jl, ChipMsg::Up(p));
                     }
                 }
@@ -695,16 +656,13 @@ impl SubShard {
                 // The owner streams the requested range back as one
                 // wormhole packet sized by the transfer.
                 let span = u32::try_from(dma_span_of(&ucr)).unwrap_or(u32::MAX).max(1);
-                let mut p = self.packet(
+                let p = self.packet(
                     NodeId::Core(owner),
                     NodeId::Core(ucr.req.core),
                     span,
                     now,
                     ChipPayload::DmaData(ucr),
                 );
-                if self.criticality_routing {
-                    p.criticality = Criticality::Bulk;
-                }
                 self.send_from_core(owner, p, now, outbox);
             }
             ChipPayload::DmaData(ucr) => {
@@ -826,18 +784,13 @@ impl SubShard {
                 BATCH_HEADER_BYTES
             };
             let dst = NodeId::MemCtrl(channel_of(batch.base, self.channels));
-            let mut p = self.packet(
+            let p = self.packet(
                 NodeId::Junction(self.sr),
                 dst,
                 bytes,
                 now,
                 ChipPayload::Batch(batch),
             );
-            if self.criticality_routing {
-                // The batch already spent its collection window; its
-                // reads now race the MACT deadline.
-                p.criticality = Criticality::Elevated;
-            }
             outbox.send(self.hub, now + self.jl, ChipMsg::Up(p));
         }
         // 6. Direct-path departures arrive at memory after the spoke's

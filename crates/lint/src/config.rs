@@ -13,7 +13,7 @@ use smarco_core::config::{ProfConfig, SmarcoConfig, TcgConfig};
 use smarco_core::fault::{Fault, FaultPlan};
 use smarco_mem::mact::MactConfig;
 use smarco_noc::direct::DirectPathConfig;
-use smarco_noc::{LinkConfig, NocBackendKind, NocConfig};
+use smarco_noc::{LinkConfig, NocConfig};
 use smarco_sched::Task;
 
 use crate::diag::{Code, Diagnostic, Severity, Span};
@@ -106,53 +106,6 @@ pub fn check_noc(noc: &NocConfig) -> Vec<Diagnostic> {
     }
     out.extend(check_link("noc.main_link", &noc.main_link));
     out.extend(check_link("noc.sub_link", &noc.sub_link));
-    out.extend(check_backend(noc));
-    out
-}
-
-/// Backend-contract checks (**SL0440**, **SL0441**) on the NoC config's
-/// selected interconnect backend.
-///
-/// The boundary latency a backend promises is the PDES lookahead and
-/// the junction class floor of the horizon contract, so a promise below
-/// the topology's own junction latency (SL0440) makes the conservative
-/// windows degenerate. A buffered backend whose per-exit buffers hold
-/// at most one packet (SL0441) still simulates — construction clamps
-/// the depth — but measures a switch with no usable buffering.
-pub fn check_backend(noc: &NocConfig) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if noc.boundary_latency() < noc.junction_latency {
-        out.push(
-            Diagnostic::new(
-                Code::BackendBoundaryLatency,
-                Span::Field("noc.backend.boundary_latency".to_string()),
-                format!(
-                    "the {} backend promises boundary crossings in {} cycle(s), below the \
-                     topology's junction latency of {}",
-                    noc.backend.name(),
-                    noc.boundary_latency(),
-                    noc.junction_latency,
-                ),
-            )
-            .with_help("raise the backend's boundary_latency to at least noc.junction_latency"),
-        );
-    }
-    if let NocBackendKind::Buffered(b) = noc.backend {
-        if b.depth <= 1 {
-            out.push(
-                Diagnostic::new(
-                    Code::DegenerateBufferDepth,
-                    Span::Field("noc.backend.depth".to_string()),
-                    format!(
-                        "buffered backend depth {} serializes the switch on its shared input \
-                         buffer",
-                        b.depth,
-                    ),
-                )
-                .with_help("set depth to at least 2 (the shipped default is 8)"),
-            );
-        }
-    }
     out
 }
 

@@ -14,7 +14,6 @@
 
 use smarco_core::config::SmarcoConfig;
 use smarco_core::fault::{Fault, FaultPlan, RetryPolicy};
-use smarco_noc::{BufferedNocConfig, NocBackendKind};
 use smarco_sched::Task;
 
 use crate::diag::Code;
@@ -142,20 +141,6 @@ pub fn corpus() -> Vec<CorpusEntry> {
             build: || base().with_outer_level(PartitionLevel::fabric(4, 1, 4)),
         },
         CorpusEntry {
-            name: "backend-boundary-below-lookahead",
-            why: "a buffered backend promising 1-cycle boundary crossings \
-                  undercuts the 2-cycle junction latency the engine windows on",
-            expected: vec![Code::BackendBoundaryLatency],
-            build: || {
-                let mut cfg = SmarcoConfig::tiny();
-                cfg.noc.backend = NocBackendKind::Buffered(BufferedNocConfig {
-                    boundary_latency: 1,
-                    ..BufferedNocConfig::default()
-                });
-                ModelInput::new(cfg)
-            },
-        },
-        CorpusEntry {
             name: "oversubscribed-host",
             why: "a 64-chip fabric level pinned to a 2-CPU host time-slices \
                   its workers and measures scheduler overhead, not speedup",
@@ -179,20 +164,6 @@ pub fn corpus() -> Vec<CorpusEntry> {
                     ClusterGeometry::new(4, 32, 4, &SmarcoConfig::tiny())
                         .with_offered_load(300_000.0),
                 )
-            },
-        },
-        CorpusEntry {
-            name: "zero-depth-buffered-switch",
-            why: "a buffered backend with no output buffering serializes the \
-                  switch on its shared input queue",
-            expected: vec![Code::DegenerateBufferDepth],
-            build: || {
-                let mut cfg = SmarcoConfig::tiny();
-                cfg.noc.backend = NocBackendKind::Buffered(BufferedNocConfig {
-                    depth: 0,
-                    ..BufferedNocConfig::default()
-                });
-                ModelInput::new(cfg)
             },
         },
     ]

@@ -144,15 +144,6 @@ pub enum Code {
     /// than the plan's worst-case fault stall (retry budget + DDR stall
     /// window + channel-death remap), so injected faults can starve it.
     TaskStarvable,
-    /// SL0440: the selected NoC backend promises a boundary latency
-    /// below the topology's junction latency, so the PDES lookahead the
-    /// engine would otherwise use overshoots what the backend can
-    /// honor and windows degenerate.
-    BackendBoundaryLatency,
-    /// SL0441: the buffered backend's per-exit buffer depth is zero or
-    /// one — the switch serializes on its input buffer and loses
-    /// exactly the absorption a buffered NoC pays area for.
-    DegenerateBufferDepth,
     /// SL0450: a shard level asks for more PDES workers than the host
     /// has CPUs — the extra workers time-slice, the lockstep barrier
     /// degrades to yield-on-every-check, and the run measures scheduler
@@ -171,7 +162,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in numeric order (for docs and exhaustive tests).
-    pub const ALL: [Code; 41] = [
+    pub const ALL: [Code; 39] = [
         Code::UnmappedRef,
         Code::StraddlingRef,
         Code::MisalignedRef,
@@ -208,8 +199,6 @@ impl Code {
         Code::HierarchyLookahead,
         Code::WorstPathExceedsDeadline,
         Code::TaskStarvable,
-        Code::BackendBoundaryLatency,
-        Code::DegenerateBufferDepth,
         Code::HostOversubscribed,
         Code::FabricBelowChipBoundary,
         Code::OfferedLoadExceedsCapacity,
@@ -254,8 +243,6 @@ impl Code {
             Code::HierarchyLookahead => "SL0423",
             Code::WorstPathExceedsDeadline => "SL0430",
             Code::TaskStarvable => "SL0431",
-            Code::BackendBoundaryLatency => "SL0440",
-            Code::DegenerateBufferDepth => "SL0441",
             Code::HostOversubscribed => "SL0450",
             Code::FabricBelowChipBoundary => "SL0460",
             Code::OfferedLoadExceedsCapacity => "SL0461",
@@ -294,8 +281,6 @@ impl Code {
             | Code::HorizonContract
             | Code::ResourceClassDead
             | Code::HierarchyLookahead
-            | Code::BackendBoundaryLatency
-            | Code::DegenerateBufferDepth
             | Code::FabricBelowChipBoundary => Severity::Deny,
             Code::MisalignedRef
             | Code::CtrlRef
@@ -354,8 +339,6 @@ impl Code {
             Code::HierarchyLookahead => "outer shard level has shorter lookahead than inner",
             Code::WorstPathExceedsDeadline => "worst retry path blows the MACT deadline",
             Code::TaskStarvable => "task slack smaller than worst-case fault stall",
-            Code::BackendBoundaryLatency => "backend boundary latency below junction latency",
-            Code::DegenerateBufferDepth => "buffered backend has degenerate buffer depth",
             Code::HostOversubscribed => "more PDES workers than host CPUs",
             Code::FabricBelowChipBoundary => "fabric latency below a chip's boundary latency",
             Code::OfferedLoadExceedsCapacity => "offered load exceeds cluster service capacity",
@@ -592,25 +575,6 @@ impl Code {
                  deadline.",
                 "Extend the task deadline past the plan's worst-case \
                  stall, or soften the fault plan.",
-            ),
-            Code::BackendBoundaryLatency => (
-                "The selected NoC backend promises boundary crossings \
-                 faster than the topology's junction crossing. The \
-                 boundary latency is the PDES lookahead and the junction \
-                 class floor; promising below the junction latency makes \
-                 the conservative windows degenerate and the horizon \
-                 contract unsatisfiable by the real topology.",
-                "Raise the backend's boundary_latency to at least \
-                 noc.junction_latency.",
-            ),
-            Code::DegenerateBufferDepth => (
-                "The buffered backend's per-exit output buffers hold at \
-                 most one packet, so the central switch serializes on its \
-                 shared input buffer — head-of-line pressure returns and \
-                 the configuration measures a buffered NoC that has no \
-                 usable buffering.",
-                "Set the buffered backend's depth to at least 2 (8 is \
-                 the shipped default).",
             ),
             Code::HostOversubscribed => (
                 "A shard level asks for more PDES worker threads than the \
@@ -899,6 +863,9 @@ mod tests {
             assert!(!rationale.is_empty() && !fix.is_empty(), "explain {c}");
         }
         assert_eq!(Code::parse("SL9999"), None);
+        // Retired codes stay unassigned: a number is never reused.
+        assert_eq!(Code::parse("SL0440"), None);
+        assert_eq!(Code::parse("SL0441"), None);
         assert_eq!(Code::parse("sl0101"), None, "parse is case-sensitive");
     }
 

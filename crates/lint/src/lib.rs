@@ -63,9 +63,7 @@ pub mod schedbound;
 
 pub use access::{Interval, IntervalSet, ThreadAccesses, ThreadProgram};
 pub use addr::{check_addresses, check_thread_addresses};
-pub use config::{
-    check_backend, check_config, check_link, check_mact, check_noc, check_task, check_tcg,
-};
+pub use config::{check_config, check_link, check_mact, check_noc, check_task, check_tcg};
 pub use corpus::{corpus, run_corpus, CorpusEntry};
 pub use deadlock::check_deadlock;
 pub use diag::{Code, Diagnostic, Report, Severity, Span};
@@ -198,7 +196,6 @@ pub fn lint_model(input: &ModelInput) -> Report {
     report.absorb(horizon::check_horizon(&input.cfg));
     report.absorb(schedbound::check_schedbound(&model));
     report.absorb(check_partition_hierarchy(&model.levels));
-    report.absorb(config::check_backend(&input.cfg.noc));
     report.sort();
     report
 }

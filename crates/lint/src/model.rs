@@ -44,7 +44,7 @@ pub enum Component {
         subring: usize,
         /// Injection corruption probability (‰ per attempt).
         noise_permille: u32,
-        /// Backend realizing the segment (`ring`, `mesh`, `buffered`).
+        /// Backend realizing the segment (`ring` or `mesh`).
         backend: &'static str,
     },
     /// The junction between one sub-ring and the main ring.
@@ -58,7 +58,7 @@ pub enum Component {
     MainRingSeg {
         /// Injection corruption probability (‰ per attempt).
         noise_permille: u32,
-        /// Backend realizing the segment (`ring`, `mesh`, `buffered`).
+        /// Backend realizing the segment (`ring` or `mesh`).
         backend: &'static str,
     },
     /// One sub-ring's memory-access collection table.

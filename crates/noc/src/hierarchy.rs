@@ -7,28 +7,24 @@
 //! bridges, rides the main ring to the controller, and is delivered;
 //! replies take the reverse path.
 //!
-//! The topology is built from two independent halves joined only at the
-//! junctions: [`SubRingNoc`] (one sub-ring plus its junction port) and
-//! [`MainRingNoc`] (the main ring with its endpoint layout). Neither half
-//! holds a reference to the other — a packet crossing a junction leaves
-//! one half as an explicit boundary event ([`SubRingEvent::Climb`] /
-//! [`MainRingEvent::Descend`]) and becomes visible in the other half one
-//! `junction_latency` later. That makes the junction latency a true
-//! lookahead: the halves can live in different PDES shards and exchange
-//! crossings as timestamped messages. [`HierarchicalRing`] recomposes the
-//! halves into the classic single-threaded topology using event wheels as
-//! the bridge buffers.
+//! The chip runs the topology as independent halves joined only at the
+//! junctions: one sub-side [`NocBackend`] per sub-ring and one hub-side
+//! backend (see [`crate::backend`]). A packet crossing a junction leaves
+//! one half as a [`NocEvent::Boundary`] and becomes visible in the other
+//! [`NocConfig::boundary_latency`] cycles later, so the halves can live in
+//! different PDES shards. [`Topology`] composes the same halves in one
+//! thread, with event wheels as the junction bridges, for NoC-only
+//! studies (Fig. 18) and tests.
 
-use std::collections::HashMap;
+use std::fmt;
 
 use smarco_sim::event::EventWheel;
-use smarco_sim::obs::{EventKind, TraceBuffer, TraceSink, Track};
 use smarco_sim::stats::{Histogram, MeanTracker};
 use smarco_sim::Cycle;
 
+use crate::backend::{build_hub_backend, build_sub_backend, Entry, NocBackend, NocEvent};
 use crate::link::{LinkConfig, Transmittable};
 use crate::packet::{NodeId, Packet};
-use crate::ring::Ring;
 
 /// Topology parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,13 +44,6 @@ pub struct NocConfig {
     /// Which interconnect implementation carries the traffic (the paper's
     /// hierarchical ring by default).
     pub backend: crate::backend::NocBackendKind,
-    /// When on, backends consume each packet's consumer-derived
-    /// [`Criticality`](crate::packet::Criticality) for arbitration,
-    /// buffer allocation and direction choice, and the shard layer
-    /// classifies requests accordingly. Off by default: every packet
-    /// stays at `Normal` and arbitration degenerates to the original
-    /// realtime-first behavior, bit for bit.
-    pub criticality_routing: bool,
 }
 
 impl NocConfig {
@@ -69,7 +58,6 @@ impl NocConfig {
             sub_link: LinkConfig::sub_ring(),
             junction_latency: 2,
             backend: crate::backend::NocBackendKind::Ring,
-            criticality_routing: false,
         }
     }
 
@@ -83,7 +71,6 @@ impl NocConfig {
             sub_link: LinkConfig::sub_ring(),
             junction_latency: 2,
             backend: crate::backend::NocBackendKind::Ring,
-            criticality_routing: false,
         }
     }
 
@@ -94,25 +81,13 @@ impl NocConfig {
         self
     }
 
-    /// The same topology with criticality routing switched on or off.
-    #[must_use]
-    pub fn with_criticality_routing(mut self, on: bool) -> Self {
-        self.criticality_routing = on;
-        self
-    }
-
-    /// The boundary-crossing latency the selected backend promises: the
-    /// earliest a packet leaving one half of the topology can become
-    /// visible in the other. This is what the shard layer stamps on
-    /// junction-crossing messages and what the horizon contract floors
-    /// the junction class at; the PDES lookahead must not exceed it.
+    /// The junction-crossing latency: the earliest a packet leaving one
+    /// half of the topology can become visible in the other. This is what
+    /// the shard layer stamps on junction-crossing messages and what the
+    /// horizon contract floors the junction class at; the PDES lookahead
+    /// must not exceed it.
     pub fn boundary_latency(&self) -> Cycle {
-        match self.backend {
-            crate::backend::NocBackendKind::Ring | crate::backend::NocBackendKind::Mesh => {
-                self.junction_latency
-            }
-            crate::backend::NocBackendKind::Buffered(b) => b.boundary_latency,
-        }
+        self.junction_latency
     }
 
     /// Total core count.
@@ -150,9 +125,6 @@ impl NocConfig {
         if self.junction_latency == 0 {
             return Err("junction latency must be positive".into());
         }
-        if let crate::backend::NocBackendKind::Buffered(b) = self.backend {
-            b.check()?;
-        }
         self.main_link.check()?;
         self.sub_link.check()
     }
@@ -164,9 +136,6 @@ impl<P> Transmittable for Packet<P> {
     }
     fn realtime(&self) -> bool {
         self.realtime
-    }
-    fn class(&self) -> u8 {
-        Packet::class(self)
     }
 }
 
@@ -182,353 +151,17 @@ pub struct NocStats {
     pub latency_hist: Histogram,
 }
 
-/// What one sub-ring tick produced at each endpoint.
-#[derive(Debug)]
-pub enum SubRingEvent<P> {
-    /// Reached a local endpoint: a core position, or the junction's own
-    /// structures (`dst == Junction(sr)`).
-    Delivered(Packet<P>),
-    /// Reached the junction addressed beyond this sub-ring; it becomes
-    /// visible on the main ring one junction latency later.
-    Climb(Packet<P>),
-}
-
-/// One sub-ring with its junction port — the sub-ring half of the
-/// topology. It knows nothing about the main ring: packets leaving for it
-/// surface as [`SubRingEvent::Climb`] boundary events.
-#[derive(Debug)]
-pub struct SubRingNoc<P> {
-    sr: usize,
-    cores_per_subring: usize,
-    ring: Ring<Packet<P>>,
-    trace: Option<TraceBuffer>,
-}
-
-impl<P> SubRingNoc<P> {
-    /// Builds sub-ring `sr`: `cores_per_subring` core positions plus the
-    /// junction at position `cores_per_subring`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores_per_subring` is zero or the link is invalid.
-    pub fn new(sr: usize, cores_per_subring: usize, link: LinkConfig) -> Self {
-        assert!(cores_per_subring > 0, "zero topology");
-        Self {
-            sr,
-            cores_per_subring,
-            ring: Ring::new(cores_per_subring + 1, link),
-            trace: None,
-        }
-    }
-
-    /// This sub-ring's index.
-    pub fn subring(&self) -> usize {
-        self.sr
-    }
-
-    /// Turns criticality-adaptive direction choice on or off (see
-    /// [`Ring::set_adaptive`]).
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.ring.set_adaptive(on);
-    }
-
-    fn junction(&self) -> usize {
-        self.cores_per_subring
-    }
-
-    /// Whether a core id lives on this sub-ring.
-    pub fn owns_core(&self, core: usize) -> bool {
-        core / self.cores_per_subring == self.sr
-    }
-
-    fn local_pos(&self, core: usize) -> usize {
-        debug_assert!(self.owns_core(core));
-        core % self.cores_per_subring
-    }
-
-    /// Injects a packet sourced by the local core at ring position `pos`.
-    /// The exit is the destination core's position for local traffic and
-    /// the junction for everything else. Returns the packet if it reached
-    /// its exit instantly (`pos == exit`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is not a core position.
-    pub fn inject_from_core(&mut self, pos: usize, pkt: Packet<P>) -> Option<Packet<P>> {
-        assert!(pos < self.cores_per_subring, "not a core position: {pos}");
-        let exit = match pkt.dst {
-            NodeId::Core(d) if self.owns_core(d) => self.local_pos(d),
-            _ => self.junction(),
-        };
-        self.ring.inject(pos, exit, pkt)
-    }
-
-    /// Injects a packet entering at the junction (bridged down from the
-    /// main ring, or sourced by the junction's own structures) addressed
-    /// to a local core. Returns the packet if delivered instantly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the destination is not a core of this sub-ring.
-    pub fn inject_from_junction(&mut self, pkt: Packet<P>) -> Option<Packet<P>> {
-        let NodeId::Core(d) = pkt.dst else {
-            panic!("junction downlink carries core packets, got {:?}", pkt.dst);
-        };
-        assert!(self.owns_core(d), "core {d} not on sub-ring {}", self.sr);
-        let dpos = self.local_pos(d);
-        self.ring.inject(self.junction(), dpos, pkt)
-    }
-
-    /// Advances one cycle; returns deliveries and junction crossings.
-    pub fn tick(&mut self, now: Cycle) -> Vec<SubRingEvent<P>> {
-        let mut out = Vec::new();
-        for (pos, hops, pkt) in self.ring.tick(now) {
-            if let Some(buf) = self.trace.as_mut() {
-                buf.emit(
-                    now,
-                    EventKind::RingHop {
-                        hops: u64::from(hops),
-                        bytes: u64::from(pkt.bytes),
-                    },
-                );
-            }
-            if pos == self.junction() && pkt.dst != NodeId::Junction(self.sr) {
-                out.push(SubRingEvent::Climb(pkt));
-            } else {
-                out.push(SubRingEvent::Delivered(pkt));
-            }
-        }
-        out
-    }
-
-    /// Whether nothing is queued or in flight on the ring.
-    pub fn is_idle(&self) -> bool {
-        self.ring.is_idle()
-    }
-
-    /// Event horizon of the underlying ring (see [`Ring::next_event`]).
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.ring.next_event(now)
-    }
-
-    /// Fast-forwards the idle ring across `[from, to)` (see
-    /// [`Ring::skip_idle`]).
-    pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.ring.skip_idle(from, to);
-    }
-
-    /// Congestion (queued output bytes) at ring position `pos`.
-    pub fn congestion_at(&self, pos: usize) -> u64 {
-        self.ring.congestion_at(pos)
-    }
-
-    /// Cumulative `(payload, offered)` bytes over the ring's channels.
-    pub fn payload_offered_bytes(&self) -> (u64, u64) {
-        self.ring.payload_offered_bytes()
-    }
-
-    /// Aggregated payload utilization of the ring's channels.
-    pub fn payload_utilization(&self) -> f64 {
-        self.ring.payload_utilization()
-    }
-
-    /// Turns event tracing on ([`Track::SubRing`] of this index).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(TraceBuffer::new(Track::SubRing(self.sr)));
-    }
-
-    /// Moves staged ring events into `sink` (no-op when tracing is off).
-    pub fn drain_trace(&mut self, sink: &mut dyn TraceSink) {
-        if let Some(buf) = self.trace.as_mut() {
-            buf.drain_into(sink);
-        }
-    }
-}
-
-/// What one main-ring tick produced at each endpoint.
-#[derive(Debug)]
-pub enum MainRingEvent<P> {
-    /// Reached a main-ring endpoint: a memory controller, the scheduler,
-    /// the host, or a junction's own structures (`dst == Junction(sr)`).
-    Delivered(Packet<P>),
-    /// Reached the junction of the destination core's sub-ring; it
-    /// becomes visible on that sub-ring one junction latency later.
-    Descend(Packet<P>),
-}
-
-/// The main ring with its endpoint layout — the hub half of the topology.
-/// It knows nothing about sub-ring interiors: packets addressed to cores
-/// surface as [`MainRingEvent::Descend`] boundary events at the
-/// destination junction.
-#[derive(Debug)]
-pub struct MainRingNoc<P> {
-    cores_per_subring: usize,
-    ring: Ring<Packet<P>>,
-    /// Position of each non-junction main-ring endpoint.
-    main_pos: HashMap<NodeId, usize>,
-    /// Junction position on the main ring, per sub-ring.
-    junction_main_pos: Vec<usize>,
-    trace: Option<TraceBuffer>,
-}
-
-impl<P> MainRingNoc<P> {
-    /// Builds the main ring: junctions in order, a memory controller after
-    /// every `subrings / mem_ctrls` junctions, then scheduler and host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`NocConfig::validate`]).
-    pub fn new(config: &NocConfig) -> Self {
-        config.validate();
-        let mut main_pos = HashMap::new();
-        let mut junction_main_pos = vec![0usize; config.subrings];
-        let group = config.subrings / config.mem_ctrls;
-        let mut pos = 0usize;
-        let mut mc = 0usize;
-        for (sr, jpos) in junction_main_pos.iter_mut().enumerate() {
-            *jpos = pos;
-            pos += 1;
-            if (sr + 1) % group == 0 {
-                main_pos.insert(NodeId::MemCtrl(mc), pos);
-                mc += 1;
-                pos += 1;
-            }
-        }
-        main_pos.insert(NodeId::MainScheduler, pos);
-        pos += 1;
-        main_pos.insert(NodeId::Host, pos);
-        pos += 1;
-        Self {
-            cores_per_subring: config.cores_per_subring,
-            ring: Ring::new(pos, config.main_link),
-            main_pos,
-            junction_main_pos,
-            trace: None,
-        }
-    }
-
-    /// Turns criticality-adaptive direction choice on or off (see
-    /// [`Ring::set_adaptive`]).
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.ring.set_adaptive(on);
-    }
-
-    fn subring_of_core(&self, core: usize) -> usize {
-        core / self.cores_per_subring
-    }
-
-    fn exit_for(&self, dst: NodeId) -> usize {
-        match dst {
-            NodeId::Core(c) => self.junction_main_pos[self.subring_of_core(c)],
-            NodeId::Junction(sr) => {
-                assert!(sr < self.junction_main_pos.len(), "unknown junction {sr}");
-                self.junction_main_pos[sr]
-            }
-            other => *self
-                .main_pos
-                .get(&other)
-                .unwrap_or_else(|| panic!("unknown main-ring endpoint {other:?}")),
-        }
-    }
-
-    /// Where a packet enters the main ring, derived from its source: core
-    /// packets enter at their sub-ring's junction, junction packets at
-    /// that junction, everything else at its own endpoint position.
-    fn entry_for(&self, src: NodeId) -> usize {
-        match src {
-            NodeId::Core(c) => self.junction_main_pos[self.subring_of_core(c)],
-            other => self.exit_for(other),
-        }
-    }
-
-    fn classify(&self, pkt: Packet<P>) -> MainRingEvent<P> {
-        if matches!(pkt.dst, NodeId::Core(_)) {
-            MainRingEvent::Descend(pkt)
-        } else {
-            MainRingEvent::Delivered(pkt)
-        }
-    }
-
-    /// Injects a packet at its entry position. Returns the boundary event
-    /// immediately if the exit coincides with the entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source or destination endpoint does not exist.
-    pub fn inject(&mut self, pkt: Packet<P>) -> Option<MainRingEvent<P>> {
-        let at = self.entry_for(pkt.src);
-        let exit = self.exit_for(pkt.dst);
-        self.ring.inject(at, exit, pkt).map(|p| self.classify(p))
-    }
-
-    /// Advances one cycle; returns deliveries and junction descents.
-    pub fn tick(&mut self, now: Cycle) -> Vec<MainRingEvent<P>> {
-        let mut out = Vec::new();
-        for (_pos, hops, pkt) in self.ring.tick(now) {
-            if let Some(buf) = self.trace.as_mut() {
-                buf.emit(
-                    now,
-                    EventKind::RingHop {
-                        hops: u64::from(hops),
-                        bytes: u64::from(pkt.bytes),
-                    },
-                );
-            }
-            out.push(self.classify(pkt));
-        }
-        out
-    }
-
-    /// Whether nothing is queued or in flight on the ring.
-    pub fn is_idle(&self) -> bool {
-        self.ring.is_idle()
-    }
-
-    /// Event horizon of the underlying ring (see [`Ring::next_event`]).
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.ring.next_event(now)
-    }
-
-    /// Fast-forwards the idle ring across `[from, to)` (see
-    /// [`Ring::skip_idle`]).
-    pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
-        self.ring.skip_idle(from, to);
-    }
-
-    /// Cumulative `(payload, offered)` bytes over the ring's channels.
-    pub fn payload_offered_bytes(&self) -> (u64, u64) {
-        self.ring.payload_offered_bytes()
-    }
-
-    /// Aggregated payload utilization of the ring's channels.
-    pub fn payload_utilization(&self) -> f64 {
-        self.ring.payload_utilization()
-    }
-
-    /// Turns event tracing on ([`Track::MainRing`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(TraceBuffer::new(Track::MainRing));
-    }
-
-    /// Moves staged ring events into `sink` (no-op when tracing is off).
-    pub fn drain_trace(&mut self, sink: &mut dyn TraceSink) {
-        if let Some(buf) = self.trace.as_mut() {
-            buf.drain_into(sink);
-        }
-    }
-}
-
-/// The hierarchical-ring NoC, generic over packet payload `P` — the
-/// single-threaded recomposition of [`SubRingNoc`] halves and one
-/// [`MainRingNoc`], with event wheels as the junction bridge buffers.
+/// The whole NoC in one thread: the chip's sub-ring halves and hub half,
+/// built by [`build_sub_backend`]/[`build_hub_backend`] for
+/// `config.backend`, with event wheels as the junction bridges.
 ///
 /// # Examples
 ///
 /// ```
-/// use smarco_noc::{HierarchicalRing, NocConfig, Packet};
+/// use smarco_noc::{NocConfig, Packet, Topology};
 /// use smarco_noc::packet::NodeId;
 ///
-/// let mut noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::tiny());
+/// let mut noc: Topology<()> = Topology::new(NocConfig::tiny());
 /// noc.inject(Packet::new(0, NodeId::Core(0), NodeId::MemCtrl(0), 8, 0, ()), 0);
 /// let mut delivered = Vec::new();
 /// for now in 0..200 {
@@ -537,70 +170,44 @@ impl<P> MainRingNoc<P> {
 /// assert_eq!(delivered.len(), 1);
 /// assert_eq!(delivered[0].dst, NodeId::MemCtrl(0));
 /// ```
-#[derive(Debug)]
-pub struct HierarchicalRing<P> {
+pub struct Topology<P> {
     config: NocConfig,
-    subrings: Vec<SubRingNoc<P>>,
-    main: MainRingNoc<P>,
-    /// Packets crossing a junction, delayed by `junction_latency`.
-    bridge_to_main: EventWheel<Packet<P>>,
-    bridge_to_sub: EventWheel<Packet<P>>,
+    subs: Vec<Box<dyn NocBackend<P>>>,
+    hub: Box<dyn NocBackend<P>>,
+    /// Packets crossing a junction, delayed by the boundary latency.
+    to_hub: EventWheel<Packet<P>>,
+    to_sub: EventWheel<Packet<P>>,
     stats: NocStats,
 }
 
-impl<P> HierarchicalRing<P> {
+impl<P> fmt::Debug for Topology<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("config", &self.config)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<P: Send + 'static> Topology<P> {
     /// Builds the topology.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid (see [`NocConfig::validate`]).
     pub fn new(config: NocConfig) -> Self {
-        let main = MainRingNoc::new(&config);
-        let subrings = (0..config.subrings)
-            .map(|sr| SubRingNoc::new(sr, config.cores_per_subring, config.sub_link))
+        let hub = build_hub_backend(&config);
+        let subs = (0..config.subrings)
+            .map(|sr| build_sub_backend(&config, sr))
             .collect();
         Self {
             config,
-            subrings,
-            main,
-            bridge_to_main: EventWheel::new(),
-            bridge_to_sub: EventWheel::new(),
+            subs,
+            hub,
+            to_hub: EventWheel::new(),
+            to_sub: EventWheel::new(),
             stats: NocStats::default(),
         }
-    }
-
-    /// Turns event tracing on: each ring reports completed traversals on
-    /// its own track ([`Track::MainRing`] / [`Track::SubRing`]).
-    pub fn enable_trace(&mut self) {
-        self.main.enable_trace();
-        for sub in &mut self.subrings {
-            sub.enable_trace();
-        }
-    }
-
-    /// Moves staged ring events into `sink` (no-op when tracing is off).
-    pub fn drain_trace(&mut self, sink: &mut dyn TraceSink) {
-        self.main.drain_trace(sink);
-        for sub in &mut self.subrings {
-            sub.drain_trace(sink);
-        }
-    }
-
-    /// Cumulative `(payload, offered)` bytes over the main ring's channels.
-    pub fn main_payload_offered(&self) -> (u64, u64) {
-        self.main.payload_offered_bytes()
-    }
-
-    /// Cumulative `(payload, offered)` bytes summed over all sub-ring
-    /// channels.
-    pub fn sub_payload_offered(&self) -> (u64, u64) {
-        let mut acc = (0u64, 0u64);
-        for r in &self.subrings {
-            let (p, o) = r.payload_offered_bytes();
-            acc.0 += p;
-            acc.1 += o;
-        }
-        acc
     }
 
     /// Topology parameters.
@@ -634,20 +241,43 @@ impl<P> HierarchicalRing<P> {
         pkt
     }
 
-    fn on_main_event(&mut self, ev: MainRingEvent<P>, now: Cycle) -> Option<Packet<P>> {
+    /// Delivers `ev`'s packet, or puts a boundary crossing on the junction
+    /// bridge toward the hub (`to_hub`) or down to a sub-ring.
+    fn on_event(&mut self, ev: NocEvent<P>, to_hub: bool, now: Cycle) -> Option<Packet<P>> {
         match ev {
-            MainRingEvent::Delivered(p) => Some(self.deliver(p, now)),
-            MainRingEvent::Descend(p) => {
-                self.bridge_to_sub
-                    .schedule(now + self.config.junction_latency, p);
+            NocEvent::Delivered(p) => Some(self.deliver(p, now)),
+            NocEvent::Boundary(p) => {
+                let bridge = if to_hub {
+                    &mut self.to_hub
+                } else {
+                    &mut self.to_sub
+                };
+                bridge.schedule(now + self.config.boundary_latency(), p);
                 None
             }
         }
     }
 
+    fn inject_sub(
+        &mut self,
+        sr: usize,
+        entry: Entry,
+        pkt: Packet<P>,
+        now: Cycle,
+    ) -> Option<Packet<P>> {
+        let ev = self.subs[sr].inject(entry, pkt, now)?;
+        self.on_event(ev, true, now)
+    }
+
+    fn inject_hub(&mut self, pkt: Packet<P>, now: Cycle) -> Option<Packet<P>> {
+        let ev = self.hub.inject(Entry::Bridge, pkt, now)?;
+        self.on_event(ev, false, now)
+    }
+
     /// Injects a packet at its source endpoint at cycle `now`.
     ///
-    /// Returns the packet immediately if source and destination coincide.
+    /// Returns the packet if it was delivered at once: source and
+    /// destination coincide.
     ///
     /// # Panics
     ///
@@ -656,41 +286,17 @@ impl<P> HierarchicalRing<P> {
         if pkt.src == pkt.dst {
             return Some(self.deliver(pkt, now));
         }
-        match pkt.src {
-            NodeId::Core(c) => {
+        match (pkt.src, pkt.dst) {
+            (NodeId::Core(c), _) => {
                 let (sr, pos) = self.core_location(c);
-                if let Some(p) = self.subrings[sr].inject_from_core(pos, pkt) {
-                    // Exit reached instantly: either a same-position core
-                    // (impossible: src != dst) or… exit == pos can only
-                    // happen for distinct cores at same pos, which cannot
-                    // occur; treat as bridge-from-junction anyway.
-                    self.bridge_to_main
-                        .schedule(now + self.config.junction_latency, p);
-                }
-                None
+                self.inject_sub(sr, Entry::Endpoint(pos), pkt, now)
             }
-            NodeId::Junction(sr) => {
-                // A junction-resident structure (MACT) sources packets
-                // either down into its own sub-ring or out onto the main
-                // ring.
-                assert!(sr < self.subrings.len(), "unknown junction {sr}");
-                match pkt.dst {
-                    NodeId::Core(d) if self.subrings[sr].owns_core(d) => {
-                        if let Some(p) = self.subrings[sr].inject_from_junction(pkt) {
-                            return Some(self.deliver(p, now));
-                        }
-                        None
-                    }
-                    _ => {
-                        let ev = self.main.inject(pkt)?;
-                        self.on_main_event(ev, now)
-                    }
-                }
+            // A junction-resident structure (the MACT) sources packets
+            // down into its own sub-ring or out over the main ring.
+            (NodeId::Junction(sr), NodeId::Core(d)) if self.core_location(d).0 == sr => {
+                self.inject_sub(sr, Entry::Bridge, pkt, now)
             }
-            NodeId::MemCtrl(_) | NodeId::MainScheduler | NodeId::Host => {
-                let ev = self.main.inject(pkt)?;
-                self.on_main_event(ev, now)
-            }
+            _ => self.inject_hub(pkt, now),
         }
     }
 
@@ -699,67 +305,44 @@ impl<P> HierarchicalRing<P> {
     pub fn tick(&mut self, now: Cycle) -> Vec<Packet<P>> {
         let mut out = Vec::new();
         // Junction crossings that completed this cycle.
-        while let Some(pkt) = self.bridge_to_main.pop_due(now) {
-            if let Some(ev) = self.main.inject(pkt) {
-                out.extend(self.on_main_event(ev, now));
-            }
+        while let Some(pkt) = self.to_hub.pop_due(now) {
+            out.extend(self.inject_hub(pkt, now));
         }
-        while let Some(pkt) = self.bridge_to_sub.pop_due(now) {
+        while let Some(pkt) = self.to_sub.pop_due(now) {
             let NodeId::Core(d) = pkt.dst else {
                 unreachable!("only core packets bridge downward");
             };
             let (sr, _) = self.core_location(d);
-            if let Some(p) = self.subrings[sr].inject_from_junction(pkt) {
-                out.push(self.deliver(p, now));
+            out.extend(self.inject_sub(sr, Entry::Bridge, pkt, now));
+        }
+        for sr in 0..self.subs.len() {
+            for ev in self.subs[sr].tick(now) {
+                out.extend(self.on_event(ev, true, now));
             }
         }
-        // Sub-rings.
-        for sr in 0..self.subrings.len() {
-            for ev in self.subrings[sr].tick(now) {
-                match ev {
-                    SubRingEvent::Delivered(p) => out.push(self.deliver(p, now)),
-                    SubRingEvent::Climb(p) => {
-                        self.bridge_to_main
-                            .schedule(now + self.config.junction_latency, p);
-                    }
-                }
-            }
-        }
-        // Main ring.
-        for ev in self.main.tick(now) {
-            out.extend(self.on_main_event(ev, now));
+        for ev in self.hub.tick(now) {
+            out.extend(self.on_event(ev, false, now));
         }
         out
     }
 
     /// Whether nothing is queued or in flight anywhere.
     pub fn is_idle(&self) -> bool {
-        self.bridge_to_main.is_empty()
-            && self.bridge_to_sub.is_empty()
-            && self.main.is_idle()
-            && self.subrings.iter().all(SubRingNoc::is_idle)
+        self.to_hub.is_empty()
+            && self.to_sub.is_empty()
+            && self.hub.is_idle()
+            && self.subs.iter().all(|s| s.is_idle())
     }
 
-    /// Mean payload utilization of the main ring's channels.
+    /// Mean payload utilization of the hub half's links.
     pub fn main_ring_utilization(&self) -> f64 {
-        self.main.payload_utilization()
+        self.hub.payload_utilization()
     }
 
-    /// Mean payload utilization across sub-ring channels.
+    /// Mean payload utilization across the sub-ring halves.
     pub fn subring_utilization(&self) -> f64 {
-        let sum: f64 = self
-            .subrings
-            .iter()
-            .map(SubRingNoc::payload_utilization)
-            .sum();
-        sum / self.subrings.len() as f64
-    }
-
-    /// Congestion (queued output bytes) at a core's sub-ring router —
-    /// used by cores to decide when the direct datapath is worthwhile.
-    pub fn congestion_at_core(&self, core: usize) -> u64 {
-        let (sr, pos) = self.core_location(core);
-        self.subrings[sr].congestion_at(pos)
+        let sum: f64 = self.subs.iter().map(|s| s.payload_utilization()).sum();
+        sum / self.subs.len() as f64
     }
 }
 
@@ -767,7 +350,7 @@ impl<P> HierarchicalRing<P> {
 mod tests {
     use super::*;
 
-    fn run<P>(noc: &mut HierarchicalRing<P>, cycles: Cycle) -> Vec<(Cycle, Packet<P>)> {
+    fn run<P: Send + 'static>(noc: &mut Topology<P>, cycles: Cycle) -> Vec<(Cycle, Packet<P>)> {
         let mut out = Vec::new();
         for now in 0..cycles {
             for p in noc.tick(now) {
@@ -779,7 +362,7 @@ mod tests {
 
     #[test]
     fn core_to_memory_and_back() {
-        let mut noc: HierarchicalRing<u32> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<u32> = Topology::new(NocConfig::tiny());
         noc.inject(
             Packet::new(1, NodeId::Core(0), NodeId::MemCtrl(0), 8, 0, 42),
             0,
@@ -801,7 +384,7 @@ mod tests {
 
     #[test]
     fn same_subring_core_to_core_stays_local() {
-        let mut noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<()> = Topology::new(NocConfig::tiny());
         noc.inject(
             Packet::new(1, NodeId::Core(0), NodeId::Core(3), 8, 0, ()),
             0,
@@ -814,7 +397,7 @@ mod tests {
 
     #[test]
     fn cross_subring_core_to_core() {
-        let mut noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<()> = Topology::new(NocConfig::tiny());
         let last = noc.config().cores() - 1;
         noc.inject(
             Packet::new(1, NodeId::Core(0), NodeId::Core(last), 8, 0, ()),
@@ -827,7 +410,7 @@ mod tests {
 
     #[test]
     fn host_and_scheduler_reachable() {
-        let mut noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<()> = Topology::new(NocConfig::tiny());
         noc.inject(Packet::new(1, NodeId::Core(5), NodeId::Host, 4, 0, ()), 0);
         noc.inject(
             Packet::new(2, NodeId::Host, NodeId::MainScheduler, 4, 0, ()),
@@ -843,7 +426,7 @@ mod tests {
 
     #[test]
     fn all_cores_to_all_mcs_delivered_exactly_once() {
-        let mut noc: HierarchicalRing<(usize, usize)> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<(usize, usize)> = Topology::new(NocConfig::tiny());
         let mut id = 0;
         let mut expected = 0;
         for c in 0..noc.config().cores() {
@@ -870,7 +453,7 @@ mod tests {
 
     #[test]
     fn full_smarco_topology_builds_and_routes() {
-        let mut noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::smarco());
+        let mut noc: Topology<()> = Topology::new(NocConfig::smarco());
         noc.inject(
             Packet::new(1, NodeId::Core(255), NodeId::MemCtrl(3), 8, 0, ()),
             0,
@@ -885,7 +468,7 @@ mod tests {
 
     #[test]
     fn self_delivery_short_circuits() {
-        let mut noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<()> = Topology::new(NocConfig::tiny());
         let p = noc.inject(Packet::new(1, NodeId::Host, NodeId::Host, 4, 3, ()), 3);
         assert!(p.is_some());
         assert_eq!(noc.stats().delivered, 1);
@@ -893,7 +476,7 @@ mod tests {
 
     #[test]
     fn core_location_mapping() {
-        let noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::smarco());
+        let noc: Topology<()> = Topology::new(NocConfig::smarco());
         assert_eq!(noc.core_location(0), (0, 0));
         assert_eq!(noc.core_location(16), (1, 0));
         assert_eq!(noc.core_location(255), (15, 15));
@@ -901,7 +484,7 @@ mod tests {
 
     #[test]
     fn junction_receives_from_local_cores() {
-        let mut noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<()> = Topology::new(NocConfig::tiny());
         // Core 1 lives on sub-ring 0; its junction is addressable.
         noc.inject(
             Packet::new(1, NodeId::Core(1), NodeId::Junction(0), 4, 0, ()),
@@ -915,7 +498,7 @@ mod tests {
 
     #[test]
     fn junction_sources_packets_both_ways() {
-        let mut noc: HierarchicalRing<u8> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<u8> = Topology::new(NocConfig::tiny());
         // Down into its own sub-ring…
         noc.inject(
             Packet::new(1, NodeId::Junction(0), NodeId::Core(2), 8, 0, 1),
@@ -941,7 +524,7 @@ mod tests {
 
     #[test]
     fn mem_ctrl_reaches_junction() {
-        let mut noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<()> = Topology::new(NocConfig::tiny());
         noc.inject(
             Packet::new(1, NodeId::MemCtrl(1), NodeId::Junction(3), 64, 0, ()),
             0,
@@ -953,7 +536,7 @@ mod tests {
 
     #[test]
     fn cross_subring_junction_traffic_transits_main_ring() {
-        let mut noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::tiny());
+        let mut noc: Topology<()> = Topology::new(NocConfig::tiny());
         // Core on sub-ring 0 to the junction of sub-ring 2: must climb,
         // cross the main ring, and terminate at the remote junction.
         noc.inject(
@@ -967,19 +550,20 @@ mod tests {
 
     #[test]
     fn split_halves_expose_boundary_events() {
-        // Drive the halves by hand: a packet leaves sub-ring 0 as a Climb,
-        // crosses, rides the main ring to a junction, and descends.
+        // Drive the halves by hand: a packet leaves sub-ring 0 as a
+        // boundary crossing, rides the main ring to a junction, and
+        // crosses again to descend.
         let cfg = NocConfig::tiny();
-        let mut sub: SubRingNoc<()> = SubRingNoc::new(0, cfg.cores_per_subring, cfg.sub_link);
-        let mut main: MainRingNoc<()> = MainRingNoc::new(&cfg);
+        let mut sub = build_sub_backend::<()>(&cfg, 0);
+        let mut hub = build_hub_backend::<()>(&cfg);
         let pkt = Packet::new(1, NodeId::Core(0), NodeId::Core(14), 8, 0, ());
-        assert!(sub.inject_from_core(0, pkt).is_none());
+        assert!(sub.inject(Entry::Endpoint(0), pkt, 0).is_none());
         let mut climbed = None;
         for now in 0..50 {
             for ev in sub.tick(now) {
                 match ev {
-                    SubRingEvent::Climb(p) => climbed = Some((now, p)),
-                    SubRingEvent::Delivered(_) => panic!("dst is remote"),
+                    NocEvent::Boundary(p) => climbed = Some((now, p)),
+                    NocEvent::Delivered(_) => panic!("dst is remote"),
                 }
             }
             if climbed.is_some() {
@@ -987,13 +571,13 @@ mod tests {
             }
         }
         let (t, p) = climbed.expect("packet must climb");
-        assert!(main.inject(p).is_none());
+        assert!(hub.inject(Entry::Bridge, p, t).is_none());
         let mut descended = None;
         for now in t..t + 100 {
-            for ev in main.tick(now) {
+            for ev in hub.tick(now) {
                 match ev {
-                    MainRingEvent::Descend(p) => descended = Some(p),
-                    MainRingEvent::Delivered(_) => panic!("dst is a core"),
+                    NocEvent::Boundary(p) => descended = Some(p),
+                    NocEvent::Delivered(_) => panic!("dst is a core"),
                 }
             }
             if descended.is_some() {
@@ -1007,7 +591,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_core_rejected() {
-        let noc: HierarchicalRing<()> = HierarchicalRing::new(NocConfig::tiny());
+        let noc: Topology<()> = Topology::new(NocConfig::tiny());
         noc.core_location(999);
     }
 
@@ -1016,6 +600,6 @@ mod tests {
     fn unequal_spacing_rejected() {
         let mut c = NocConfig::tiny();
         c.mem_ctrls = 3;
-        let _: HierarchicalRing<()> = HierarchicalRing::new(c);
+        let _: Topology<()> = Topology::new(c);
     }
 }

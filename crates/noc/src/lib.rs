@@ -11,23 +11,22 @@
 //! * [`ring`] — a bidirectional ring of routers with min-hop,
 //!   congestion-tie-broken direction choice and per-channel bidirectional
 //!   lane granting (§3.2, Fig. 7).
+//! * [`backend`] — the [`NocBackend`] contract one half of the topology
+//!   implements (a sub-ring, or the main ring with its endpoints), with
+//!   the hierarchical ring and a 2-D mesh as interchangeable
+//!   implementations selected by [`NocBackendKind`].
 //! * [`hierarchy`] — the full topology: one 512-bit main ring bridged to
 //!   16 × 256-bit sub-rings of 16 cores each, DDR controllers, scheduler
-//!   and host attached to the main ring (Fig. 4).
+//!   and host attached to the main ring (Fig. 4), and [`Topology`], which
+//!   runs the chip's halves in one thread.
 //! * [`direct`] — the star-shaped direct memory datapath for real-time
 //!   requests (§3.5.2, Fig. 14).
 //! * [`traffic`] — synthetic traffic generation for NoC-only studies
 //!   (Fig. 18).
-//! * [`backend`] — the [`NocBackend`] contract the shard layer drives,
-//!   with the hierarchical ring, the mesh and the buffered switch as
-//!   interchangeable implementations selected by [`NocBackendKind`].
-//! * [`buffered`] — an Uber-style central buffered switch, the third
-//!   backend contender.
 
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod buffered;
 pub mod direct;
 pub mod hierarchy;
 pub mod link;
@@ -39,9 +38,6 @@ pub mod traffic;
 pub use backend::{
     build_hub_backend, build_sub_backend, Entry, NocBackend, NocBackendKind, NocEvent,
 };
-pub use buffered::{BufferedNoc, BufferedNocConfig};
-pub use hierarchy::{
-    HierarchicalRing, MainRingEvent, MainRingNoc, NocConfig, SubRingEvent, SubRingNoc,
-};
+pub use hierarchy::{NocConfig, Topology};
 pub use link::LinkConfig;
-pub use packet::{Criticality, NodeId, Packet};
+pub use packet::{NodeId, Packet};

@@ -26,9 +26,8 @@ pub trait Transmittable {
     }
     /// Arbitration class: higher-class items are inserted ahead of queued
     /// lower-class items. The default maps real-time to class 1 and
-    /// everything else to class 0, which reproduces the plain
-    /// realtime-first queueing; criticality-aware payloads override this
-    /// with a finer ladder (see `Criticality`).
+    /// everything else to class 0, which is plain realtime-first
+    /// queueing; an item type may override it with a finer ladder.
     fn class(&self) -> u8 {
         u8::from(self.realtime())
     }

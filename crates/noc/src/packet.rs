@@ -21,34 +21,6 @@ pub enum NodeId {
     Host,
 }
 
-/// Consumer-derived priority of a packet, used by backends for
-/// arbitration and buffer allocation when criticality routing is on.
-///
-/// The class is derived from the *consumer* of the data, not the
-/// producer: a DMA bulk pull tolerates latency, a MACT-batched read
-/// rides a collection deadline, a low-laxity task's read gates a task
-/// deadline, and a real-time read gates a hardware deadline. The
-/// numeric value is the arbitration class — higher wins ties.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Criticality {
-    /// Latency-tolerant bulk transfers (SPM-to-SPM DMA spans).
-    Bulk = 0,
-    /// Ordinary demand traffic with no deadline pressure.
-    Normal = 1,
-    /// Deadline-sensitive traffic: reads issued by a task whose laxity
-    /// slack is low, or traffic racing a MACT collection deadline.
-    Elevated = 2,
-    /// Real-time traffic with a hardware deadline (§3.5.2).
-    Critical = 3,
-}
-
-impl Criticality {
-    /// The arbitration class (higher wins).
-    pub fn class(self) -> u8 {
-        self as u8
-    }
-}
-
 /// A packet in flight, generic over the semantic payload `P` (a memory
 /// request, a reply, a DMA chunk, …). `bytes` is the *payload* size the
 /// link must move — the quantity whose distribution Fig. 8 measures.
@@ -65,10 +37,6 @@ pub struct Packet<P> {
     /// Real-time packets may use the direct datapath and are prioritized
     /// in allocation.
     pub realtime: bool,
-    /// Consumer-derived criticality (defaults to [`Criticality::Normal`]).
-    /// Real-time packets always arbitrate as [`Criticality::Critical`]
-    /// regardless of this field.
-    pub criticality: Criticality,
     /// Injection cycle, for end-to-end latency statistics.
     pub injected_at: Cycle,
     /// Semantic payload.
@@ -96,7 +64,6 @@ impl<P> Packet<P> {
             dst,
             bytes,
             realtime: false,
-            criticality: Criticality::Normal,
             injected_at,
             payload,
         }
@@ -106,25 +73,6 @@ impl<P> Packet<P> {
     pub fn with_realtime(mut self) -> Self {
         self.realtime = true;
         self
-    }
-
-    /// Sets the consumer-derived criticality.
-    pub fn with_criticality(mut self, criticality: Criticality) -> Self {
-        self.criticality = criticality;
-        self
-    }
-
-    /// The arbitration class: real-time packets always class as
-    /// [`Criticality::Critical`]; everything else classes as its
-    /// `criticality` field. With every packet left at the default
-    /// `Normal`, class-ordered arbitration degenerates to the original
-    /// realtime-first FIFO.
-    pub fn class(&self) -> u8 {
-        if self.realtime {
-            Criticality::Critical.class()
-        } else {
-            self.criticality.class()
-        }
     }
 }
 
@@ -136,22 +84,10 @@ mod tests {
     fn construction_and_priority() {
         let p = Packet::new(1, NodeId::Core(0), NodeId::MemCtrl(1), 8, 5, ());
         assert!(!p.realtime);
-        assert_eq!(p.criticality, Criticality::Normal);
         let p = p.with_realtime();
         assert!(p.realtime);
         assert_eq!(p.bytes, 8);
         assert_eq!(p.injected_at, 5);
-    }
-
-    #[test]
-    fn class_follows_criticality_with_realtime_pinned_to_critical() {
-        let p = Packet::new(1, NodeId::Core(0), NodeId::MemCtrl(1), 8, 5, ());
-        assert_eq!(p.class(), 1, "default is Normal");
-        assert_eq!(p.clone().with_criticality(Criticality::Bulk).class(), 0);
-        assert_eq!(p.clone().with_criticality(Criticality::Elevated).class(), 2);
-        let rt = p.with_criticality(Criticality::Bulk).with_realtime();
-        assert_eq!(rt.class(), 3, "realtime overrides the field");
-        assert!(Criticality::Bulk < Criticality::Critical);
     }
 
     #[test]

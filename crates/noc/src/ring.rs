@@ -57,8 +57,8 @@ pub struct RingStats {
 ///
 /// The ring is topology-only: it moves opaque items from an injection
 /// position to an exit position. Endpoint semantics (which position is a
-/// core, a junction, a memory controller) belong to
-/// [`crate::hierarchy::HierarchicalRing`].
+/// core, a junction, a memory controller) belong to the ring backends in
+/// [`crate::backend`].
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
     /// `channels[i]` joins position `i` (fwd = cw) and `i+1 mod n`.
@@ -72,9 +72,6 @@ pub struct Ring<T> {
     /// rest were idle and are charged on settling.
     settled: Vec<u64>,
     n: usize,
-    /// When on, high-class items (class ≥ 2) pick their direction by a
-    /// congestion-weighted cost instead of pure minimum hops.
-    adaptive: bool,
     stats: RingStats,
 }
 
@@ -93,17 +90,8 @@ impl<T: Transmittable> Ring<T> {
             cycles: 0,
             settled: vec![0; n],
             n,
-            adaptive: false,
             stats: RingStats::default(),
         }
-    }
-
-    /// Turns criticality-adaptive direction choice on or off (default
-    /// off). With it on, items of class ≥ 2 weigh queued congestion
-    /// against hop distance when picking a direction; lower classes (and
-    /// everything, when off) keep the original minimum-hop rule.
-    pub fn set_adaptive(&mut self, on: bool) {
-        self.adaptive = on;
     }
 
     /// Number of positions.
@@ -188,20 +176,7 @@ impl<T: Transmittable> Ring<T> {
         }
         let dcw = self.distance(at, exit, Dir::Cw);
         let dccw = self.distance(at, exit, Dir::Ccw);
-        let dir = if self.adaptive && item.class() >= 2 {
-            // Criticality-adaptive choice: estimate the cycles to reach
-            // the exit as hop-serialization plus draining the local
-            // backlog at peak width, and take the cheaper way round even
-            // when it is the longer one.
-            let width = u64::from(self.channels[at].config().max_capacity()).max(1);
-            let cost = |d: usize, q: u64| d as u64 * width + q;
-            let ccw = cost(dccw, self.out_queue_bytes(at, Dir::Ccw));
-            if cost(dcw, self.out_queue_bytes(at, Dir::Cw)) <= ccw {
-                Dir::Cw
-            } else {
-                Dir::Ccw
-            }
-        } else if dcw < dccw {
+        let dir = if dcw < dccw {
             Dir::Cw
         } else if dccw < dcw {
             Dir::Ccw
@@ -595,8 +570,6 @@ mod tests {
                 let mut rng = smarco_sim::rng::SimRng::new(seed * 1_000 + n as u64);
                 let mut ring = Ring::new(n, slow);
                 let mut reference = Ring::new(n, slow);
-                ring.set_adaptive(seed % 2 == 0);
-                reference.set_adaptive(seed % 2 == 0);
                 let mut next_id = 0;
                 let mut now = 0;
                 while now < 1_500 {

@@ -48,8 +48,8 @@ check_bench() {
     fi
 }
 
-echo "==> noc_sweep smoke (backends x benchmarks x criticality matrix;"
-echo "    exits non-zero if any backend fails to drain a benchmark)"
+echo "==> noc_sweep smoke (backends x benchmarks matrix; exits non-zero"
+echo "    if any backend fails to drain a benchmark)"
 cargo run --offline --release -p smarco-bench --bin noc_sweep -- --json "$ci_tmp/BENCH_noc.json"
 check_bench BENCH_noc.json
 
@@ -60,6 +60,10 @@ echo "==> scale bench (PDES speedup sweep + cycle-skip study; asserts"
 echo "    bit-identical reports and a non-zero skip ratio on TeraSort)"
 cargo run --offline --release -p smarco-bench --bin scale -- --json "$ci_tmp/BENCH_cycle_skip.json"
 check_bench BENCH_cycle_skip.json
+
+echo "==> rack sweep (balancing policies x offered load on a 4-chip rack)"
+cargo run --offline --release -p smarco-bench --bin rack -- --json "$ci_tmp/BENCH_rack.json"
+check_bench BENCH_rack.json
 
 echo "==> perf-regression gate (sequential engine vs committed baseline;"
 echo "    plus a 4-worker leg on hosts with >=4 CPUs when the baseline"
@@ -81,7 +85,7 @@ if [ "$corpus_status" -ne 1 ]; then
     echo "ci: corpus gate failed (exit $corpus_status, expected 1)" >&2
     exit 1
 fi
-for code in SL0420 SL0421 SL0422 SL0423 SL0430 SL0431 SL0440 SL0441 SL0450 SL0460 SL0461; do
+for code in SL0420 SL0421 SL0422 SL0423 SL0430 SL0431 SL0450 SL0460 SL0461; do
     if ! grep -q "\"code\":\"$code\"" "$corpus_json"; then
         echo "ci: corpus no longer produces $code" >&2
         exit 1

@@ -11,7 +11,7 @@
 mod support;
 
 use smarco::workloads::Benchmark;
-use support::{at, check_against_canonical, AXES, BACKEND, LOAD, ROUTING, SKIP, WORKERS};
+use support::{at, check_against_canonical, AXES, BACKEND, LOAD, SKIP, WORKERS};
 
 #[test]
 fn every_backend_is_bit_identical_across_workers_and_skip() {
@@ -22,7 +22,6 @@ fn every_backend_is_bit_identical_across_workers_and_skip() {
                 at(&[
                     (LOAD, bench.name()),
                     (BACKEND, backend),
-                    (ROUTING, "on"),
                     (WORKERS, workers),
                     (SKIP, skip),
                 ])

@@ -5,7 +5,7 @@
 //! sweep their axis over every benchmark through it.
 //!
 //! A run is a point in a space of axes. Model axes (load, NoC backend,
-//! criticality routing, fault plan) decide what the chip simulates, so
+//! fault plan) decide what the chip simulates, so
 //! each model point has one canonical report: the run at value 0 of every
 //! variant axis. Variant axes (PDES workers, cycle skipping,
 //! observability, profiling, the horizon-contract checker, and how a
@@ -21,7 +21,7 @@ use smarco::core::chip::SmarcoSystem;
 use smarco::core::config::{ProfConfig, SmarcoConfig};
 use smarco::core::fault::FaultPlan;
 use smarco::core::report::SmarcoReport;
-use smarco::noc::{BufferedNocConfig, NocBackendKind};
+use smarco::noc::NocBackendKind;
 use smarco::sched::TaskPriority;
 use smarco::sim::obs::ObsConfig;
 use smarco::sim::prof::HostPhase;
@@ -36,20 +36,19 @@ const DISPATCHED: usize = Benchmark::ALL.len();
 
 pub const LOAD: usize = 0;
 pub const BACKEND: usize = 1;
-pub const ROUTING: usize = 2;
-pub const FAULT: usize = 3;
+pub const FAULT: usize = 2;
 /// The first variant axis; every axis from here on is one.
-pub const WORKERS: usize = 4;
-pub const SKIP: usize = 5;
-pub const OBS: usize = 6;
-pub const PROF: usize = 7;
-pub const CHECKER: usize = 8;
-pub const PLAN: usize = 9;
+pub const WORKERS: usize = 3;
+pub const SKIP: usize = 4;
+pub const OBS: usize = 5;
+pub const PROF: usize = 6;
+pub const CHECKER: usize = 7;
+pub const PLAN: usize = 8;
 
 /// Each axis's name and value labels, indexed by the constants above.
 /// Value 0 of a variant axis is its canonical setting. The first six
 /// load labels are the `Benchmark::ALL` names, in order.
-pub const AXES: [(&str, &[&str]); 10] = [
+pub const AXES: [(&str, &[&str]); 9] = [
     (
         "load",
         &[
@@ -62,8 +61,7 @@ pub const AXES: [(&str, &[&str]); 10] = [
             "dispatched TeraSort",
         ],
     ),
-    ("backend", &["ring", "mesh", "buffered"]),
-    ("routing", &["off", "on"]),
+    ("backend", &["ring", "mesh"]),
     ("fault", &["healthy", "chaos"]),
     ("workers", &["1", "2", "3", "4", "5", "16", "2x host CPUs"]),
     ("skip", &["off", "on"]),
@@ -111,14 +109,9 @@ fn describe(p: &Point) -> String {
 /// work. Each axis value turns into a setting on exactly one line.
 fn chip(p: &Point) -> SmarcoSystem {
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let backends = [
-        NocBackendKind::Ring,
-        NocBackendKind::Mesh,
-        NocBackendKind::Buffered(BufferedNocConfig::default()),
-    ];
+    let backends = [NocBackendKind::Ring, NocBackendKind::Mesh];
     let mut cfg = SmarcoConfig::tiny();
     cfg.noc = cfg.noc.with_backend(backends[p[BACKEND]]);
-    cfg.noc = cfg.noc.with_criticality_routing(p[ROUTING] == 1);
     cfg.fault = match (p[FAULT], p[PLAN]) {
         (1, _) => Some(FaultPlan::chaos(CHAOS_SEED, &cfg)),
         (_, 1) => Some(FaultPlan::none()),
