@@ -11,6 +11,7 @@
 //! injected faults produced no recovery activity (the injection or
 //! recovery path is then broken).
 
+use smarco_bench::cycle_skip::BENCH_FILE;
 use smarco_bench::BenchArgs;
 
 fn main() {
@@ -31,15 +32,9 @@ fn main() {
     }
     let bench = smarco_bench::figures::speedup::run(args.scale, &counts);
     println!("{bench}");
-    let outcome = match &args.json {
-        Some(path) => {
-            let path = std::path::PathBuf::from(path);
-            bench.skip.write(&path).map(|()| path)
-        }
-        None => bench.skip.write_default(),
-    };
-    match outcome {
-        Ok(path) => println!("wrote {}", path.display()),
+    let path = args.json.as_deref().unwrap_or(BENCH_FILE);
+    match bench.skip.write(path.as_ref()) {
+        Ok(()) => println!("wrote {path}"),
         Err(e) => {
             eprintln!("smarco-bench: writing the perf records failed: {e}");
             std::process::exit(2);

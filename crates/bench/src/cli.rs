@@ -1,25 +1,20 @@
 //! One flag parser for every bench binary.
 //!
-//! Seven binaries (`scale`, `fig22_comparison`, `fig23_scalability`,
-//! `profile`, `noc_sweep`, `lint`, `inspect`) used to hand-roll the same
-//! `std::env::args()` window-scanning, each with slightly different
-//! fallback rules. [`BenchArgs`] is the union of their flags with one
-//! set of rules, parsed once:
+//! The bench binaries used to hand-roll the same `std::env::args()`
+//! window-scanning, each with slightly different fallback rules.
+//! [`BenchArgs`] is the union of their flags with one set of rules,
+//! parsed once:
 //!
 //! * value flags keep the legacy *lenient value* semantics — an
 //!   unparsable `--parallel zero` falls back to the default instead of
-//!   erroring, exactly as the old per-binary scanners did, so scripted
-//!   invocations keep working byte for byte;
-//! * unknown `--flags` are an error in [`BenchArgs::parse`] (exit 2 via
-//!   [`crate::harness::or_exit`], the bench crate's one error surface);
-//! * one bare (non-`--`) token is accepted as the output path, for
-//!   `inspect <out-dir>` style invocations;
-//! * [`BenchArgs::scan`] is the lenient variant that skips unknown
-//!   tokens — it backs the legacy helpers in [`crate::scale`], which
-//!   binaries with positional grammars of their own still use.
+//!   erroring, so scripted invocations keep working byte for byte;
+//! * unknown `--flags`, and a flag missing its value, are an error (exit
+//!   2 via [`crate::harness::or_exit`], the bench crate's one error
+//!   surface);
+//! * one bare (non-`--`) token is accepted: `inspect <out-dir>` takes it
+//!   as the output directory and `paper <id>` as the experiment id.
 //!
-//! The `rack` binary consumes [`BenchArgs`] wholesale; the older
-//! binaries read the subset of fields they document.
+//! Each binary reads the subset of fields it documents.
 
 use crate::Scale;
 
@@ -58,8 +53,8 @@ pub struct BenchArgs {
     pub threads: usize,
     /// `--window N`: metrics sampling window in cycles (inspect).
     pub window: u64,
-    /// One bare token: an output path/directory, when the binary takes
-    /// one (`inspect target/out`).
+    /// One bare token: the output directory of `inspect target/out`,
+    /// or the experiment id of `paper fig20`.
     pub out: Option<String>,
 }
 
@@ -103,32 +98,12 @@ impl BenchArgs {
     /// Returns a message naming the unknown flag, or the flag left
     /// without its value.
     pub fn parse_from(argv: &[String]) -> Result<Self, String> {
-        Self::parse_impl(argv, true)
-    }
-
-    /// Lenient scan: unknown tokens are skipped instead of rejected.
-    /// Backs the legacy helpers ([`Scale::from_args`],
-    /// [`crate::scale::parallel_from`], [`crate::scale::faults_from`])
-    /// that binaries with their own positional grammars still use.
-    pub fn scan(argv: &[String]) -> Self {
-        Self::parse_impl(argv, false).unwrap_or_default()
-    }
-
-    fn parse_impl(argv: &[String], strict: bool) -> Result<Self, String> {
         let mut out = Self::default();
         let mut i = 0;
-        // A flag's value; in lenient mode a flag at the end of the line
-        // is simply ignored, as the old windows(2) scanners did.
         macro_rules! value {
             ($flag:expr) => {
-                match argv.get(i + 1) {
-                    Some(v) => v,
-                    None if strict => return Err(format!("{} needs a value", $flag)),
-                    None => {
-                        i += 1;
-                        continue;
-                    }
-                }
+                argv.get(i + 1)
+                    .ok_or_else(|| format!("{} needs a value", $flag))?
             };
         }
         while i < argv.len() {
@@ -209,13 +184,10 @@ impl BenchArgs {
                     i += 1;
                 }
                 other => {
-                    if strict {
-                        return Err(format!(
-                            "unknown argument `{other}` (see the binary's \
-                             doc comment for its flags)"
-                        ));
-                    }
-                    i += 1;
+                    return Err(format!(
+                        "unknown argument `{other}` (see the binary's \
+                         doc comment for its flags)"
+                    ));
                 }
             }
         }
@@ -315,14 +287,6 @@ mod tests {
         let a = BenchArgs::parse_from(&argv(&["target/inspect", "--window", "100"])).unwrap();
         assert_eq!(a.out.as_deref(), Some("target/inspect"));
         assert_eq!(a.window, 100);
-    }
-
-    #[test]
-    fn lenient_scan_skips_what_it_does_not_know() {
-        let a = BenchArgs::scan(&argv(&["bin", "--weird", "--parallel", "2", "--scale"]));
-        assert_eq!(a.parallel, 2);
-        // The dangling --scale is ignored, as windows(2) used to.
-        assert_eq!(a.scale, Scale::Quick);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Machine-readable cycle-skip performance records.
 //!
-//! The `scale` bench and the `--parallel` figure runs append one
-//! [`SkipEntry`] per chip run and write the set to
-//! [`FILE`](BENCH_FILE) in the working directory, giving the repo a
-//! perf trajectory to track across changes: wall-clock seconds,
-//! simulated cycles, and how much of the shard-cycle grid the
+//! The `scale` bench appends one [`SkipEntry`] per chip run and writes
+//! the set to [`BENCH_FILE`] in the working directory (its one writer),
+//! giving the repo a perf trajectory to track across changes: wall-clock
+//! seconds, simulated cycles, and how much of the shard-cycle grid the
 //! event-horizon skipper fast-forwarded instead of stepping.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::host::HostInfo;
 
@@ -91,18 +90,6 @@ impl SkipReport {
     /// Propagates the I/O error if the file cannot be written.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
-    }
-
-    /// Writes the report to [`BENCH_FILE`] in the working directory and
-    /// returns the path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the file cannot be written.
-    pub fn write_default(&self) -> std::io::Result<PathBuf> {
-        let path = PathBuf::from(BENCH_FILE);
-        self.write(&path)?;
-        Ok(path)
     }
 }
 

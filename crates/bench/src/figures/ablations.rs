@@ -11,6 +11,7 @@ use smarco_sim::rng::SimRng;
 use smarco_workloads::{Benchmark, HtcStream};
 
 use crate::harness::{smarco_mapreduce, smarco_team_system};
+use crate::paper::Claim;
 use crate::Scale;
 
 // ---------------------------------------------------------------- mesh --
@@ -97,6 +98,19 @@ pub fn mesh_vs_ring(scale: Scale) -> MeshVsRing {
         mesh_throughput: mesh.stats().delivered as f64 / cycles as f64,
     }
 }
+
+/// §3.2's case for rings: predictability, not raw latency.
+pub const RING_CLAIMS: &[Claim<MeshVsRing>] = &[Claim::new(
+    "Both networks deliver, and the ring's worst case stays closer to its mean.",
+    |a| {
+        let ring = a.ring_max / a.ring_mean.max(1e-9);
+        let mesh = a.mesh_max / a.mesh_mean.max(1e-9);
+        ensure!(ring < mesh, "max/mean: ring {ring:.2} vs mesh {mesh:.2}");
+        let delivered = a.ring_throughput > 0.0 && a.mesh_throughput > 0.0;
+        ensure!(delivered, "a network delivered nothing");
+        Ok(())
+    },
+)];
 
 impl std::fmt::Display for MeshVsRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -272,6 +286,37 @@ pub fn format_staging(rows: &[StagingRow]) -> String {
     s
 }
 
+/// §3.1's claim for in-pair threads and the shared instruction segment.
+pub const INPAIR_CLAIMS: &[Claim<[InPairRow]>] = &[Claim::new(
+    "Neither in-pair switching nor the shared segment ever hurts, and RNC, the \
+     most memory-bound, gains over 1.2x from pairing.",
+    |rows| {
+        for r in rows {
+            let (pair, iseg) = (r.full / r.no_inpair, r.full / r.no_iseg);
+            let b = r.bench;
+            ensure!(pair >= 0.99 && iseg >= 0.98, "{b}: {pair:.2}x, {iseg:.2}x");
+            let rnc = b == Benchmark::Rnc;
+            ensure!(!rnc || pair > 1.2, "RNC pairing gain {pair:.2}x");
+        }
+        Ok(())
+    },
+)];
+
+/// §3.6's data placement: staging into the SPM pays for most jobs.
+pub const STAGING_CLAIMS: &[Claim<[StagingRow]>] = &[Claim::new(
+    "Staging speeds up at least four of six jobs 1.2x and cuts every job's DRAM requests.",
+    |rows| {
+        let gain = |r: &&StagingRow| r.unstaged_cycles as f64 / r.staged_cycles as f64;
+        let wins = rows.iter().filter(|r| gain(r) > 1.2).count();
+        ensure!(wins >= 4, "{wins} of 6 gain 1.2x");
+        for r in rows {
+            let (st, un) = (r.staged_requests, r.unstaged_requests);
+            ensure!(st < un, "{}: {st} vs {un} unstaged requests", r.bench);
+        }
+        Ok(())
+    },
+)];
+
 // ---------------------------------------------------------------- pim --
 
 /// On-core vs in-memory string matching over the same text volume.
@@ -373,3 +418,15 @@ impl std::fmt::Display for PimResult {
         writeln!(f, "  offload speedup: {:.1}x", self.speedup())
     }
 }
+
+/// §7's premise: fixed-pattern scans should not drag the whole text
+/// across the channel.
+pub const PIM_CLAIMS: &[Claim<PimResult>] = &[Claim::new(
+    "Offloading the scan is over 5x faster, with under 1% of the channel traffic.",
+    |r| {
+        ensure!(r.speedup() > 5.0, "offload speedup {:.1}x", r.speedup());
+        let (cmds, reqs) = (r.pim_commands, r.core_dram_requests);
+        ensure!(cmds * 100 < reqs, "{cmds} commands vs {reqs} requests");
+        Ok(())
+    },
+)];

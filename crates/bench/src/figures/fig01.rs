@@ -16,6 +16,7 @@ use smarco_isa::mix::{AddressModel, OpMix, SyntheticStream};
 use smarco_sim::rng::SimRng;
 use smarco_workloads::Benchmark;
 
+use crate::paper::Claim;
 use crate::Scale;
 
 /// One point of the thread sweep.
@@ -128,6 +129,48 @@ pub fn run(scale: Scale) -> Fig01 {
     }
     Fig01 { pressure, cache }
 }
+
+/// The first and last sweep rows of one kernel.
+fn ends(f: &Fig01, bench: Benchmark) -> Result<(PressureRow, PressureRow), String> {
+    let mut rows = f.pressure.iter().filter(|r| r.bench == bench);
+    let first = *rows.next().ok_or("no sweep rows")?;
+    Ok((first, *rows.next_back().unwrap_or(&first)))
+}
+
+/// The paper's claims about Fig. 1.
+pub const CLAIMS: &[Claim<Fig01>] = &[
+    Claim::new(
+        "Starvation grows 1.5x from x1 to x16 threads per context and issue slots \
+         stay over 60% idle (Figs. 1a/1b); L1, L2 and LLC miss over 30%, 50% and 30%, \
+         and the effective L1 latency exceeds 10 cycles (Figs. 1c/1d).",
+        |f| {
+            for bench in KERNELS {
+                let (first, last) = ends(f, bench)?;
+                let (s0, s1) = (first.starvation_ratio, last.starvation_ratio);
+                ensure!(s1 > s0 * 1.5, "{bench}: starvation {s0:.3} -> {s1:.3}");
+            }
+            for r in &f.pressure {
+                ensure!(r.idle_ratio > 0.6, "{} idle {:.3}", r.bench, r.idle_ratio);
+            }
+            for c in &f.cache {
+                let [l1, l2, llc] = c.miss_ratio;
+                let misses = l1 > 0.3 && l2 > 0.5 && llc > 0.3;
+                ensure!(misses, "{} misses {:.3?}", c.bench, c.miss_ratio);
+                ensure!(c.avg_latency[0] > 10.0, "{} L1 latency", c.bench);
+            }
+            Ok(())
+        },
+    ),
+    Claim::new("Idle rises with threads per context (Fig. 1a).", |f| {
+        for bench in KERNELS {
+            let (first, last) = ends(f, bench)?;
+            let (i0, i1) = (first.idle_ratio, last.idle_ratio);
+            ensure!(i1 > i0, "{bench}: idle {i0:.3} -> {i1:.3}");
+        }
+        Ok(())
+    })
+    .deviates_at_quick("the model saturates on memory before oversubscription adds idle"),
+];
 
 impl std::fmt::Display for Fig01 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -10,6 +10,7 @@ use smarco_sim::rng::SimRng;
 use smarco_workloads::cdn::CdnConfig;
 use smarco_workloads::HtcStream;
 
+use crate::paper::Claim;
 use crate::Scale;
 
 /// One point of the client sweep.
@@ -71,6 +72,24 @@ pub fn run(scale: Scale) -> Fig02 {
         max_clients: cdn.max_clients(),
     }
 }
+
+/// The paper's claims about Fig. 2.
+pub const CLAIMS: &[Claim<Fig02>] = &[Claim::new(
+    "At the 400-client NIC cap the CPU is under 10% busy, yet branches miss over \
+     10% and the L1 over 15% (paper: about 40%); utilization grows up to the cap.",
+    |f| {
+        ensure!(f.max_clients == 400, "cap at {} clients", f.max_clients);
+        let r = f.rows.iter().find(|r| r.clients == 400).ok_or("no row")?;
+        ensure!(r.cpu_utilization < 0.10, "util {:.3}", r.cpu_utilization);
+        ensure!(r.branch_miss > 0.10, "branch miss {:.3}", r.branch_miss);
+        ensure!(r.l1_miss > 0.15, "L1 miss {:.3}", r.l1_miss);
+        for w in f.rows.windows(2) {
+            let (u0, u1) = (w[0].cpu_utilization, w[1].cpu_utilization);
+            ensure!(u1 >= u0, "utilization {u0:.3} -> {u1:.3}");
+        }
+        Ok(())
+    },
+)];
 
 impl std::fmt::Display for Fig02 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

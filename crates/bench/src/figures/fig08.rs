@@ -11,6 +11,7 @@ use smarco_sim::stats::Histogram;
 use smarco_workloads::splash::SplashApp;
 use smarco_workloads::{Benchmark, HtcStream};
 
+use crate::paper::Claim;
 use crate::Scale;
 
 /// One application's granularity distribution.
@@ -86,6 +87,26 @@ pub fn run(scale: Scale) -> Fig08 {
     }
     Fig08 { rows }
 }
+
+/// The paper's claim about Fig. 8.
+pub const CLAIMS: &[Claim<Fig08>] = &[Claim::new(
+    "Every HTC app's mean access is smaller than every conventional app's \
+     (each sampled distribution sums to 1).",
+    |f| {
+        let (mut htc, mut conv) = (0.0f64, f64::INFINITY);
+        for r in &f.rows {
+            let sum: f64 = r.fractions.iter().sum();
+            ensure!((sum - 1.0).abs() < 0.05, "{} sums to {sum:.3}", r.name);
+            if r.htc {
+                htc = htc.max(r.mean_bytes);
+            } else {
+                conv = conv.min(r.mean_bytes);
+            }
+        }
+        ensure!(htc < conv, "HTC up to {htc:.1} B, others from {conv:.1} B");
+        Ok(())
+    },
+)];
 
 impl std::fmt::Display for Fig08 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

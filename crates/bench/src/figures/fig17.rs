@@ -8,6 +8,7 @@
 use smarco_workloads::Benchmark;
 
 use crate::harness::tcg_ipc;
+use crate::paper::Claim;
 use crate::Scale;
 
 /// One benchmark's IPC curve.
@@ -43,6 +44,31 @@ pub fn run(scale: Scale) -> Fig17 {
     }
     Fig17 { rows }
 }
+
+/// The paper's claims about Fig. 17.
+pub const CLAIMS: &[Claim<Fig17>] = &[
+    Claim::new(
+        "IPC grows over 3x from 1 to 4 threads, then more slowly to 8 as friends \
+         only hide latency, and never exceeds the 4-wide issue.",
+        |f| {
+            for r in &f.rows {
+                let (one, four, eight) = (r.ipc[0], r.ipc[3], r.ipc[7]);
+                ensure!(four > one * 3.0, "{}: {:?}", r.bench, r.ipc);
+                ensure!(eight - four < four - one, "{}: {:?}", r.bench, r.ipc);
+                ensure!(r.ipc.iter().all(|&v| v <= 4.0), "{}: {:?}", r.bench, r.ipc);
+            }
+            Ok(())
+        },
+    ),
+    Claim::new("Search gains least from 4 to 8 threads.", |f: &Fig17| {
+        let gain = |r: &&IpcRow| r.ipc[7] - r.ipc[3];
+        let least = f.rows.iter().min_by(|a, b| gain(a).total_cmp(&gain(b)));
+        let least = least.ok_or("no rows")?.bench;
+        ensure!(least == Benchmark::Search, "{least} gains least");
+        Ok(())
+    })
+    .deviates("KMP is flattest in our model, already near the 4-wide ceiling at 4 threads"),
+];
 
 impl std::fmt::Display for Fig17 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

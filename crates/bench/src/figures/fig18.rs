@@ -11,6 +11,7 @@ use smarco_noc::NocConfig;
 use smarco_workloads::Benchmark;
 
 use crate::harness::size_mix_of;
+use crate::paper::Claim;
 use crate::Scale;
 
 /// Slice widths swept, in bytes (paper's 16 → 2).
@@ -79,6 +80,28 @@ pub fn run(scale: Scale) -> Fig18 {
     }
     Fig18 { rows }
 }
+
+/// The paper's claim about Fig. 18 (§4.2.2).
+pub const CLAIMS: &[Claim<Fig18>] = &[Claim::new(
+    "Every benchmark gains over 5% from 16 B to 2 B slices and finer never hurts; \
+     KMP and RNC gain over 1.5x K-means', which is flat from 4 B to 2 B.",
+    |f| {
+        for r in &f.rows {
+            let (at4, at2) = (r.improvement(4), r.improvement(2));
+            ensure!(at2 > 1.05, "{} gains {at2:.2}x", r.bench);
+            ensure!(at4 <= at2 * 1.02, "{}: {at4:.2}x at 4 B", r.bench);
+        }
+        let row = |b| f.rows.iter().find(|r| r.bench == b).ok_or("no row");
+        let kmeans = row(Benchmark::KMeans)?;
+        for b in [Benchmark::Kmp, Benchmark::Rnc] {
+            let (gain, base) = (row(b)?.improvement(2), kmeans.improvement(2));
+            ensure!(gain > base * 1.5, "{b} {gain:.2}x vs K-means {base:.2}x");
+        }
+        let tail = kmeans.at(2) / kmeans.at(4);
+        ensure!(tail < 1.05, "K-means 4 B -> 2 B gain {tail:.3}");
+        Ok(())
+    },
+)];
 
 impl std::fmt::Display for Fig18 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

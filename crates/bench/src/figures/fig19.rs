@@ -11,6 +11,7 @@ use smarco_sim::Cycle;
 use smarco_workloads::Benchmark;
 
 use crate::harness::smarco_team_system;
+use crate::paper::Claim;
 use crate::Scale;
 
 /// Thresholds swept (cycles).
@@ -92,6 +93,42 @@ pub fn run(scale: Scale) -> Fig19 {
     }
     Fig19 { rows }
 }
+
+/// Why Fig. 19's claims deviate at paper scale.
+const FULL_CHIP: &str = "on the full chip the mean speedup is highest at 64 cycles, the \
+                         longest threshold swept; the cause is not attributed yet";
+
+/// The paper's claims about Fig. 19.
+pub const CLAIMS: &[Claim<Fig19>] = &[
+    Claim::new(
+        "4 cycles is too short (16 does as well, within 2%, everywhere), the best \
+         threshold is interior, and at least two benchmarks decline again at 64.",
+        |f: &Fig19| {
+            for r in &f.rows {
+                let (b, s4, s16) = (r.bench, r.speedup_norm8(4), r.speedup_norm8(16));
+                ensure!(s16 >= s4 * 0.98, "{b}: {s16:.3} at 16 vs {s4:.3} at 4");
+            }
+            let best = f.best_threshold();
+            ensure!(best >= 8, "best threshold {best}");
+            let rows = f.rows.iter();
+            let declining = rows.filter(|r| r.speedup_norm8(64) < r.speedup_norm8(best));
+            let declining = declining.count();
+            ensure!(declining >= 2, "only {declining} benchmarks decline at 64");
+            Ok(())
+        },
+    )
+    .deviates_at_paper(FULL_CHIP),
+    Claim::new("Speedup peaks at a 16-cycle threshold.", |f: &Fig19| {
+        let best = f.best_threshold();
+        ensure!(best == 16, "best threshold {best} cycles");
+        Ok(())
+    })
+    .deviates_at_quick(
+        "our write-dominated benchmarks peak at 32: their gains come from non-blocking \
+         emit runs that tolerate longer collection",
+    )
+    .deviates_at_paper(FULL_CHIP),
+];
 
 impl std::fmt::Display for Fig19 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -24,6 +24,7 @@ use smarco_sim::rng::SimRng;
 use smarco_sim::stats::Percentiles;
 use smarco_sim::Cycle;
 
+use crate::paper::Claim;
 use crate::Scale;
 
 /// The common deadline (cycles), as in the paper.
@@ -134,6 +135,25 @@ pub fn run(_scale: Scale) -> Fig21 {
         hardware_obs,
     }
 }
+
+/// The paper's claim about Fig. 21.
+pub const CLAIMS: &[Claim<Fig21>] = &[Claim::new(
+    "Of 128 tasks, the laxity-aware hardware meets every deadline, more than the \
+     software scheduler, with under a third of its exit spread and a later earliest exit.",
+    |f| {
+        let (sw, hw) = (&f.software, &f.hardware);
+        let tasks = (sw.records.len(), hw.records.len());
+        ensure!(tasks == (128, 128), "tasks {tasks:?}");
+        let spread = (hw.exit_spread(), sw.exit_spread());
+        ensure!(spread.0 < spread.1 / 3, "exit spread {spread:?}");
+        let success = (hw.success_rate(), sw.success_rate());
+        let met = (success.0 - 1.0).abs() < 1e-9 && success.0 > success.1;
+        ensure!(met, "success {success:.3?}");
+        let earliest = (hw.exit_range().0, sw.exit_range().0);
+        ensure!(earliest.0 > earliest.1, "earliest exit {earliest:?}");
+        Ok(())
+    },
+)];
 
 impl std::fmt::Display for Fig21 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

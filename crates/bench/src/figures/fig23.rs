@@ -6,15 +6,13 @@
 //! thread is slow — but keeps rising with its 8-per-core hardware threads
 //! and crosses the Xeon curve.
 
-use std::time::Instant;
-
 use smarco_baseline::XeonConfig;
 use smarco_core::config::SmarcoConfig;
 use smarco_sim::rng::SimRng;
 use smarco_workloads::{Benchmark, HtcStream};
 
-use crate::cycle_skip::{SkipEntry, SkipReport};
 use crate::harness::xeon_system;
+use crate::paper::Claim;
 use crate::Scale;
 
 /// One sweep point.
@@ -34,9 +32,8 @@ pub struct ScaleRow {
 pub struct Fig23 {
     /// Sweep rows in thread order.
     pub rows: Vec<ScaleRow>,
-    /// Per-sweep-point SmarCo-run perf records (wall clock + cycle-skip
-    /// counters), written to `BENCH_cycle_skip.json` by the binary.
-    pub skip: SkipReport,
+    /// The Xeon model's hardware contexts (8 quick, 48 paper).
+    pub xeon_contexts: usize,
 }
 
 impl Fig23 {
@@ -76,7 +73,7 @@ fn sized_for(cfg: &SmarcoConfig, threads: usize) -> SmarcoConfig {
     out
 }
 
-fn smarco_ips(cfg: &SmarcoConfig, threads: usize, total_work: u64) -> (f64, SkipEntry) {
+fn smarco_ips(cfg: &SmarcoConfig, threads: usize, total_work: u64) -> f64 {
     let cfg = &sized_for(cfg, threads);
     let mut sys = crate::harness::build_system(cfg);
     let ops = (total_work / threads as u64).max(1);
@@ -98,18 +95,8 @@ fn smarco_ips(cfg: &SmarcoConfig, threads: usize, total_work: u64) -> (f64, Skip
             Box::new(HtcStream::new(p, SimRng::new(500 + t as u64))),
         ));
     }
-    let start = Instant::now();
     let r = sys.run(u64::MAX / 2);
-    let entry = SkipEntry {
-        label: format!("kmp-{threads}t"),
-        workers: cfg.workers,
-        cycle_skip: cfg.cycle_skip,
-        wall_seconds: start.elapsed().as_secs_f64(),
-        simulated_cycles: r.cycles,
-        stepped_cycles: sys.stepped_cycles(),
-        skipped_cycles: sys.skipped_cycles(),
-    };
-    (r.instructions as f64 / r.seconds(cfg.freq_ghz), entry)
+    r.instructions as f64 / r.seconds(cfg.freq_ghz)
 }
 
 /// Runs the experiment.
@@ -136,22 +123,53 @@ pub fn run_with(scale: Scale, workers: usize) -> Fig23 {
     };
     scfg.workers = workers.max(1);
     let mut rows = Vec::new();
-    let mut skip = SkipReport::default();
     for &threads in sweep {
         let ops = (total_work / threads as u64).max(1);
         let mut xeon = xeon_system(Benchmark::Kmp, &xcfg, threads, ops);
         let xr = xeon.run(u64::MAX / 2);
         let xeon_ips = xr.instructions as f64 / (xr.cycles as f64 / (xcfg.freq_ghz * 1e9));
-        let (smarco, entry) = smarco_ips(&scfg, threads, total_work);
-        skip.entries.push(entry);
         rows.push(ScaleRow {
             threads,
             xeon_ips,
-            smarco_ips: smarco,
+            smarco_ips: smarco_ips(&scfg, threads, total_work),
         });
     }
-    Fig23 { rows, skip }
+    Fig23 {
+        rows,
+        xeon_contexts: xcfg.contexts(),
+    }
 }
+
+/// The paper's claims about Fig. 23: the Xeon peaks around 32–64 threads
+/// (48 contexts) and declines; SmarCo starts far lower, crosses past 64
+/// threads and keeps rising.
+pub const CLAIMS: &[Claim<Fig23>] = &[
+    Claim::new(
+        "The Xeon peaks between half and four times its context count and loses 30% \
+         by the end; SmarCo starts below it, crosses past half the Xeon's peak thread \
+         count and ends over 2x above.",
+        |f| {
+            let (peak, contexts) = (f.xeon_peak_threads(), f.xeon_contexts);
+            let near = (contexts / 2..=contexts * 4).contains(&peak);
+            ensure!(near, "Xeon peak at {peak} threads with {contexts} contexts");
+            let (first, last) = (&f.rows[0], &f.rows[f.rows.len() - 1]);
+            let top = f.rows.iter().map(|r| r.xeon_ips).fold(0.0, f64::max);
+            ensure!(last.xeon_ips < top * 0.7, "Xeon ends {:.2e}", last.xeon_ips);
+            ensure!(first.smarco_ips < first.xeon_ips, "SmarCo starts above");
+            let cross = f.crossover_threads().ok_or("SmarCo never crosses")?;
+            ensure!(cross > peak / 2, "crossover at {cross}");
+            ensure!(last.smarco_ips > last.xeon_ips * 2.0, "ends under 2x");
+            Ok(())
+        },
+    ),
+    Claim::new("SmarCo crosses within 4x the Xeon's peak.", |f: &Fig23| {
+        let peak = f.xeon_peak_threads();
+        let cross = f.crossover_threads().ok_or("SmarCo never crosses")?;
+        ensure!(cross <= peak * 4, "peak at {peak}, crossover at {cross}");
+        Ok(())
+    })
+    .deviates_at_paper("our Xeon model's memory parallelism tolerates oversubscription better"),
+];
 
 impl std::fmt::Display for Fig23 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

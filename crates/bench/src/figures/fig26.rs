@@ -10,7 +10,8 @@ use smarco_core::config::SmarcoConfig;
 use smarco_power::TechNode;
 use smarco_workloads::Benchmark;
 
-use crate::figures::fig22::{compare_one, CompareRow};
+use crate::figures::fig22::{compare_one, CompareRow, Fig22};
+use crate::paper::Claim;
 use crate::Scale;
 
 /// The figure's data.
@@ -41,6 +42,28 @@ pub fn run(scale: Scale) -> Fig26 {
         .collect();
     Fig26 { rows }
 }
+
+/// The paper's claims about Fig. 26, judged with the full design's
+/// Fig. 22 run at the same scale.
+pub const CLAIMS: &[Claim<(Fig26, Fig22)>] = &[
+    Claim::new("The prototype beats the Xeon's efficiency.", |(f26, _)| {
+        let ee = f26.avg_efficiency();
+        ensure!(ee > 1.0, "average {ee:.2}x");
+        Ok(())
+    }),
+    Claim::new(
+        "The 40 nm prototype gains less than the 32 nm design (paper: 3.85x vs 6.95x).",
+        |(f26, f22): &(Fig26, Fig22)| {
+            let (proto, full) = (f26.avg_efficiency(), f22.avg_efficiency());
+            ensure!(proto < full, "prototype {proto:.2}x, full {full:.2}x");
+            Ok(())
+        },
+    )
+    .deviates_at_paper(
+        "the equal-work method hands the Xeon a smaller job whose fixed threading costs \
+         amortize poorly, and classical node scaling under-penalizes 40 nm",
+    ),
+];
 
 impl std::fmt::Display for Fig26 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

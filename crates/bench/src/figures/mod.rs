@@ -1,6 +1,6 @@
 //! One module per paper table/figure; each exposes `run(Scale)` returning
-//! structured rows that the `src/bin/` binaries print and the integration
-//! tests assert shapes on.
+//! structured rows, and the paper's claims about them, that the
+//! [`crate::paper`] registry prints and checks.
 
 pub mod ablations;
 pub mod fig01;

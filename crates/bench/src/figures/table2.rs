@@ -4,6 +4,7 @@ use smarco_baseline::XeonConfig;
 use smarco_core::config::SmarcoConfig;
 use smarco_power::{estimate_smarco, TechNode};
 
+use crate::paper::Claim;
 use crate::Scale;
 
 /// The rendered table.
@@ -89,6 +90,22 @@ pub fn run(_scale: Scale) -> Table2 {
     ];
     Table2 { rows }
 }
+
+/// Table 2 comes from the two default configs, so it matches by
+/// construction; the claim pins its headline entries.
+pub const CLAIMS: &[Claim<Table2>] = &[Claim::new(
+    "SmarCo's 2048 threads and 136.5 GB/s face the Xeon's 48 and 85 GB/s.",
+    |t| {
+        let text = t.to_string();
+        for entry in ["256 cores, 2048 threads", "24 cores, 48 threads"] {
+            ensure!(text.contains(entry), "no `{entry}`");
+        }
+        for entry in ["136.5 GB/s", "85.0 GB/s"] {
+            ensure!(text.contains(entry), "no `{entry}`");
+        }
+        Ok(())
+    },
+)];
 
 impl std::fmt::Display for Table2 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -26,10 +26,7 @@ impl HostInfo {
             cpus: std::thread::available_parallelism().map_or(1, usize::from),
             worker_sweep: worker_sweep.to_vec(),
             cycle_skip,
-            scale: match scale {
-                crate::Scale::Quick => "quick".to_string(),
-                crate::Scale::Paper => "paper".to_string(),
-            },
+            scale: scale.name().to_string(),
         }
     }
 

@@ -1,20 +1,32 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§4).
 //!
-//! Each experiment is a library function returning structured rows (so the
-//! integration tests can assert the paper's *shapes*) plus a binary in
-//! `src/bin/` that prints them. Run them all with:
+//! Each experiment is a library function in [`figures`] returning
+//! structured rows, next to the paper's claims about it. The [`paper`]
+//! registry runs them by id, and the `paper` binary prints each table
+//! followed by its claims:
 //!
 //! ```text
-//! cargo run --release -p smarco-bench --bin fig17_tcg_ipc
-//! cargo run --release -p smarco-bench --bin fig22_comparison -- --scale quick
-//! ...
+//! cargo run --release -p smarco-bench --bin paper              # all 17
+//! cargo run --release -p smarco-bench --bin paper -- fig17
+//! cargo run --release -p smarco-bench --bin paper -- fig22 --scale paper
 //! ```
 //!
 //! The [`Scale`] knob switches between `Quick` (seconds; CI and tests) and
 //! `Paper` (minutes; fuller configurations).
 
 #![warn(missing_docs)]
+
+/// Returns `Err` with the formatted message from a claim's check when the
+/// condition is false (see [`paper::Claim`]).
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        let holds: bool = $cond;
+        if !holds {
+            return Err(format!($($msg)+));
+        }
+    };
+}
 
 pub mod chaos;
 pub mod cli;
@@ -23,6 +35,7 @@ pub mod figures;
 pub mod harness;
 pub mod host;
 pub mod noc_sweep;
+pub mod paper;
 pub mod profile;
 pub mod rack;
 pub mod scale;

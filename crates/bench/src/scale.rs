@@ -13,12 +13,12 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--scale quick|paper` style arguments (any position),
-    /// ignoring everything else on the line — binaries with positional
-    /// grammars of their own call this; the seven flag-only binaries
-    /// use [`crate::cli::BenchArgs::parse`] instead.
-    pub fn from_args() -> Self {
-        crate::cli::BenchArgs::scan(&std::env::args().collect::<Vec<_>>()).scale
+    /// The name `--scale` takes: `"quick"` or `"paper"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Paper => "paper",
+        }
     }
 
     /// Multiplies a quick-scale quantity up for paper scale.
@@ -30,66 +30,45 @@ impl Scale {
     }
 }
 
-/// Parses `--parallel N` style arguments (any position): the PDES worker
-/// count the bench binaries write into `SmarcoConfig::workers`. Defaults
-/// to `1` (sequential); results are bit-identical either way.
-pub fn parallel_from_args() -> usize {
-    parallel_from(&std::env::args().collect::<Vec<_>>())
-}
-
-/// The testable core of [`parallel_from_args`]: scans an argument list
-/// with [`crate::cli::BenchArgs::scan`]'s lenient rules.
-pub fn parallel_from(args: &[String]) -> usize {
-    crate::cli::BenchArgs::scan(args).parallel
-}
-
-/// Parses `--faults <seed>` (any position): the seed for a chaos run with
-/// [`smarco_core::fault::FaultPlan::chaos`]. `None` when absent or
-/// unparsable — the binaries then run healthy as before.
-pub fn faults_from_args() -> Option<u64> {
-    faults_from(&std::env::args().collect::<Vec<_>>())
-}
-
-/// The testable core of [`faults_from_args`]: scans an argument list
-/// with [`crate::cli::BenchArgs::scan`]'s lenient rules.
-pub fn faults_from(args: &[String]) -> Option<u64> {
-    crate::cli::BenchArgs::scan(args).faults
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BenchArgs;
+
+    fn parse(s: &[&str]) -> BenchArgs {
+        let argv: Vec<String> = s.iter().map(|a| (*a).to_string()).collect();
+        BenchArgs::parse_from(&argv).expect("known flags")
+    }
 
     #[test]
     fn scaled_picks_by_variant() {
         assert_eq!(Scale::Quick.scaled(10, 100), 10);
         assert_eq!(Scale::Paper.scaled(10, 100), 100);
         assert_eq!(Scale::default(), Scale::Quick);
+        assert_eq!(Scale::Paper.name(), "paper");
     }
 
     #[test]
     fn parallel_flag_parsed() {
-        let args = |s: &[&str]| s.iter().map(|a| (*a).to_string()).collect::<Vec<_>>();
-        assert_eq!(parallel_from(&args(&["bin"])), 1);
-        assert_eq!(parallel_from(&args(&["bin", "--parallel", "4"])), 4);
+        assert_eq!(parse(&["bin"]).parallel, 1);
+        assert_eq!(parse(&["bin", "--parallel", "4"]).parallel, 4);
         assert_eq!(
-            parallel_from(&args(&["bin", "--scale", "paper", "--parallel", "2"])),
+            parse(&["bin", "--scale", "paper", "--parallel", "2"]).parallel,
             2
         );
         // Garbage and zero fall back to sequential.
-        assert_eq!(parallel_from(&args(&["bin", "--parallel", "zero"])), 1);
-        assert_eq!(parallel_from(&args(&["bin", "--parallel", "0"])), 1);
+        assert_eq!(parse(&["bin", "--parallel", "zero"]).parallel, 1);
+        assert_eq!(parse(&["bin", "--parallel", "0"]).parallel, 1);
     }
 
     #[test]
     fn faults_flag_parsed() {
-        let args = |s: &[&str]| s.iter().map(|a| (*a).to_string()).collect::<Vec<_>>();
-        assert_eq!(faults_from(&args(&["bin"])), None);
-        assert_eq!(faults_from(&args(&["bin", "--faults", "42"])), Some(42));
+        assert_eq!(parse(&["bin"]).faults, None);
+        assert_eq!(parse(&["bin", "--faults", "42"]).faults, Some(42));
         assert_eq!(
-            faults_from(&args(&["bin", "--scale", "quick", "--faults", "7"])),
+            parse(&["bin", "--scale", "quick", "--faults", "7"]).faults,
             Some(7)
         );
-        assert_eq!(faults_from(&args(&["bin", "--faults", "nope"])), None);
+        assert_eq!(parse(&["bin", "--faults", "nope"]).faults, None);
     }
 }

@@ -7,9 +7,10 @@ use std::time::{Duration, Instant};
 /// Times `f` and prints `name`, the iteration count and ns/iter.
 ///
 /// Warms up for ~50 ms to estimate per-iteration cost, then sizes the
-/// measured run to roughly `budget`. Coarse compared to a statistical
+/// measured run to roughly 200 ms. Coarse compared to a statistical
 /// harness, but stable enough to spot order-of-magnitude regressions.
-pub fn bench_with_budget(name: &str, budget: Duration, mut f: impl FnMut()) {
+pub fn bench(name: &str, mut f: impl FnMut()) {
+    let budget = Duration::from_millis(200);
     let warm_start = Instant::now();
     let mut warm_iters: u64 = 0;
     while warm_start.elapsed() < Duration::from_millis(50) && warm_iters < 1_000_000 {
@@ -24,9 +25,4 @@ pub fn bench_with_budget(name: &str, budget: Duration, mut f: impl FnMut()) {
     }
     let ns = start.elapsed().as_nanos() / u128::from(iters);
     println!("{name:<36} {iters:>9} iters  {ns:>12} ns/iter");
-}
-
-/// [`bench_with_budget`] with a default ~200 ms measurement budget.
-pub fn bench(name: &str, f: impl FnMut()) {
-    bench_with_budget(name, Duration::from_millis(200), f);
 }

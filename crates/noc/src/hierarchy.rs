@@ -13,12 +13,12 @@
 //! one half as a [`NocEvent::Boundary`] and becomes visible in the other
 //! [`NocConfig::boundary_latency`] cycles later, so the halves can live in
 //! different PDES shards. [`Topology`] composes the same halves in one
-//! thread, with event wheels as the junction bridges, for NoC-only
-//! studies (Fig. 18) and tests.
+//! thread, with FIFOs as the junction bridges, for NoC-only studies
+//! (Fig. 18) and tests.
 
+use std::collections::VecDeque;
 use std::fmt;
 
-use smarco_sim::event::EventWheel;
 use smarco_sim::stats::{Histogram, MeanTracker};
 use smarco_sim::Cycle;
 
@@ -153,7 +153,7 @@ pub struct NocStats {
 
 /// The whole NoC in one thread: the chip's sub-ring halves and hub half,
 /// built by [`build_sub_backend`]/[`build_hub_backend`] for
-/// `config.backend`, with event wheels as the junction bridges.
+/// `config.backend`, with FIFOs as the junction bridges.
 ///
 /// # Examples
 ///
@@ -174,9 +174,11 @@ pub struct Topology<P> {
     config: NocConfig,
     subs: Vec<Box<dyn NocBackend<P>>>,
     hub: Box<dyn NocBackend<P>>,
-    /// Packets crossing a junction, delayed by the boundary latency.
-    to_hub: EventWheel<Packet<P>>,
-    to_sub: EventWheel<Packet<P>>,
+    /// Packets crossing a junction with their due cycles. Every crossing
+    /// waits the same boundary latency and `now` never decreases, so each
+    /// FIFO is in due order.
+    to_hub: VecDeque<(Cycle, Packet<P>)>,
+    to_sub: VecDeque<(Cycle, Packet<P>)>,
     stats: NocStats,
 }
 
@@ -204,8 +206,8 @@ impl<P: Send + 'static> Topology<P> {
             config,
             subs,
             hub,
-            to_hub: EventWheel::new(),
-            to_sub: EventWheel::new(),
+            to_hub: VecDeque::new(),
+            to_sub: VecDeque::new(),
             stats: NocStats::default(),
         }
     }
@@ -252,7 +254,12 @@ impl<P: Send + 'static> Topology<P> {
                 } else {
                     &mut self.to_sub
                 };
-                bridge.schedule(now + self.config.boundary_latency(), p);
+                let due = now + self.config.boundary_latency();
+                debug_assert!(
+                    bridge.back().is_none_or(|&(at, _)| at <= due),
+                    "a junction crossing was pushed behind a later one"
+                );
+                bridge.push_back((due, p));
                 None
             }
         }
@@ -305,10 +312,10 @@ impl<P: Send + 'static> Topology<P> {
     pub fn tick(&mut self, now: Cycle) -> Vec<Packet<P>> {
         let mut out = Vec::new();
         // Junction crossings that completed this cycle.
-        while let Some(pkt) = self.to_hub.pop_due(now) {
+        while let Some(pkt) = pop_due(&mut self.to_hub, now) {
             out.extend(self.inject_hub(pkt, now));
         }
-        while let Some(pkt) = self.to_sub.pop_due(now) {
+        while let Some(pkt) = pop_due(&mut self.to_sub, now) {
             let NodeId::Core(d) = pkt.dst else {
                 unreachable!("only core packets bridge downward");
             };
@@ -343,6 +350,15 @@ impl<P: Send + 'static> Topology<P> {
     pub fn subring_utilization(&self) -> f64 {
         let sum: f64 = self.subs.iter().map(|s| s.payload_utilization()).sum();
         sum / self.subs.len() as f64
+    }
+}
+
+/// Pops the front crossing of a junction FIFO if it is due at `now`.
+fn pop_due<T>(fifo: &mut VecDeque<(Cycle, T)>, now: Cycle) -> Option<T> {
+    if fifo.front().is_some_and(|&(at, _)| at <= now) {
+        fifo.pop_front().map(|(_, p)| p)
+    } else {
+        None
     }
 }
 

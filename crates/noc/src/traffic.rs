@@ -15,7 +15,10 @@ use crate::packet::{NodeId, Packet};
 /// A discrete packet-size distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizeMix {
-    sizes: Vec<(u32, f64)>,
+    /// Packet sizes in bytes.
+    bytes: Vec<u32>,
+    /// Their weights, kept apart so sampling borrows them as they are.
+    weights: Vec<f64>,
 }
 
 impl SizeMix {
@@ -34,7 +37,8 @@ impl SizeMix {
             sizes.iter().map(|&(_, w)| w).sum::<f64>() > 0.0,
             "weights all zero"
         );
-        Self { sizes }
+        let (bytes, weights) = sizes.into_iter().unzip();
+        Self { bytes, weights }
     }
 
     /// HTC-like: small packets dominate (Fig. 8 left).
@@ -56,16 +60,16 @@ impl SizeMix {
 
     /// Samples a packet size.
     pub fn sample(&self, rng: &mut SimRng) -> u32 {
-        let weights: Vec<f64> = self.sizes.iter().map(|&(_, w)| w).collect();
-        self.sizes[rng.pick_weighted(&weights)].0
+        self.bytes[rng.pick_weighted(&self.weights)]
     }
 
     /// Weighted mean size in bytes.
     pub fn mean_bytes(&self) -> f64 {
-        let total: f64 = self.sizes.iter().map(|&(_, w)| w).sum();
-        self.sizes
+        let total: f64 = self.weights.iter().sum();
+        self.bytes
             .iter()
-            .map(|&(b, w)| f64::from(b) * w / total)
+            .zip(&self.weights)
+            .map(|(&b, &w)| f64::from(b) * w / total)
             .sum()
     }
 }

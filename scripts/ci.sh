@@ -23,6 +23,10 @@ cargo build --offline --release --workspace
 echo "==> cargo test"
 cargo test --offline -q --workspace
 
+echo "==> paper-scale blocks (Figs. 22, 23 and 26 at paper scale: their"
+echo "    claims keep their recorded status and EXPERIMENTS.md quotes them)"
+cargo test --release --offline --test paper_shapes -- --ignored
+
 echo "==> perf benchmark tests (perfbench/ is a package of its own, outside"
 echo "    the workspace; its smoke test checks on all five workloads that two"
 echo "    workers and tracing reproduce the reference reports)"

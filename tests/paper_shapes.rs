@@ -1,385 +1,89 @@
-//! Shape tests: every figure/table of the paper regenerated at quick scale
-//! must show the paper's *qualitative* result — who wins, roughly by how
-//! much, where the curves bend. These are the reproduction's acceptance
-//! tests (EXPERIMENTS.md records the quantitative outputs).
+//! Shape tests: every table, figure and ablation of the paper's
+//! evaluation, regenerated at quick scale, must give each of its claims
+//! (`smarco_bench::paper`, defined next to each figure) its recorded
+//! status, a match or a recorded deviation. EXPERIMENTS.md must also
+//! quote the run's output verbatim, so the doc cannot drift from the
+//! model: after a change that moves a number, paste `paper <id>`'s stdout
+//! into the block that starts with `$ paper <id>`.
 
-use smarco_bench::figures;
+use smarco_bench::paper;
 use smarco_bench::Scale;
-use smarco_workloads::Benchmark;
 
-#[test]
-fn fig01_starvation_rises_and_caches_miss() {
-    let f = figures::fig01::run(Scale::Quick);
-    for bench in figures::fig01::KERNELS {
-        let rows: Vec<_> = f.pressure.iter().filter(|r| r.bench == bench).collect();
-        // Fig. 1b: instruction starvation grows with oversubscription.
-        let first = rows.first().expect("sweep rows").starvation_ratio;
-        let last = rows.last().expect("sweep rows").starvation_ratio;
-        assert!(
-            last > first * 1.5,
-            "{bench}: starvation {first:.3} → {last:.3}"
-        );
-        // Fig. 1a: issue resources are mostly idle throughout.
-        assert!(
-            rows.iter().all(|r| r.idle_ratio > 0.6),
-            "{bench} idle too low"
-        );
-    }
-    // Fig. 1c: every level misses substantially on HTC kernels.
-    for c in &f.cache {
-        assert!(
-            c.miss_ratio[0] > 0.3,
-            "{} L1 miss {:.3}",
-            c.bench,
-            c.miss_ratio[0]
-        );
-        assert!(
-            c.miss_ratio[1] > 0.5,
-            "{} L2 miss {:.3}",
-            c.bench,
-            c.miss_ratio[1]
-        );
-        assert!(
-            c.miss_ratio[2] > 0.3,
-            "{} LLC miss {:.3}",
-            c.bench,
-            c.miss_ratio[2]
-        );
-        // Fig. 1d: effective latency grows down the hierarchy.
-        assert!(c.avg_latency[0] > 10.0);
-    }
+const EXPERIMENTS_MD: &str = include_str!("../EXPERIMENTS.md");
+
+/// Trailing whitespace per line and trailing blank lines aside.
+fn normalized(text: &str) -> String {
+    let lines: Vec<&str> = text.lines().map(str::trim_end).collect();
+    lines.join("\n").trim_end().to_string()
 }
 
-#[test]
-fn fig02_cdn_is_nic_bound_and_cache_hostile() {
-    let f = figures::fig02::run(Scale::Quick);
-    assert_eq!(f.max_clients, 400);
-    let at_cap = f
-        .rows
-        .iter()
-        .find(|r| r.clients == 400)
-        .expect("400-client row");
+/// The fenced block of EXPERIMENTS.md that starts with `command`.
+fn quoted_block(command: &str) -> Option<String> {
+    let mut lines = EXPERIMENTS_MD.lines().skip_while(|l| *l != command);
+    lines.next()?;
+    let block: Vec<&str> = lines.take_while(|l| !l.starts_with("```")).collect();
+    Some(normalized(&block.join("\n")))
+}
+
+/// Runs experiment `id`, checks every claim's status against its record
+/// and the run's output against EXPERIMENTS.md's block for it.
+fn check(id: &str, scale: Scale) {
+    let outcome = (paper::find(id).expect("registered experiment").run)(scale, 1);
+    let printed = outcome.text;
     assert!(
-        at_cap.cpu_utilization < 0.10,
-        "util {:.3}",
-        at_cap.cpu_utilization
+        outcome.as_recorded,
+        "a claim of `{id}` no longer has its recorded status:\n{printed}"
     );
-    assert!(
-        at_cap.branch_miss > 0.10,
-        "branch miss {:.3}",
-        at_cap.branch_miss
-    );
-    assert!(at_cap.l1_miss > 0.15, "L1 miss {:.3}", at_cap.l1_miss);
-    // Utilization grows with clients up to the cap.
-    assert!(f
-        .rows
-        .windows(2)
-        .all(|w| w[1].cpu_utilization >= w[0].cpu_utilization));
-}
-
-#[test]
-fn fig08_htc_granularity_is_finer_than_conventional() {
-    let f = figures::fig08::run(Scale::Quick);
-    let max_htc = f
-        .rows
-        .iter()
-        .filter(|r| r.htc)
-        .map(|r| r.mean_bytes)
-        .fold(0.0f64, f64::max);
-    let min_conv = f
-        .rows
-        .iter()
-        .filter(|r| !r.htc)
-        .map(|r| r.mean_bytes)
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        max_htc < min_conv,
-        "HTC max {max_htc:.1} vs conventional min {min_conv:.1}"
-    );
-    // Sampled fractions are proper distributions.
-    for r in &f.rows {
-        let sum: f64 = r.fractions.iter().sum();
-        assert!(
-            (sum - 1.0).abs() < 0.05,
-            "{} fractions sum {sum:.3}",
-            r.name
-        );
-    }
-}
-
-#[test]
-fn fig17_ipc_scales_linearly_to_four_then_slowly() {
-    let f = figures::fig17::run(Scale::Quick);
-    for r in &f.rows {
-        // Near-linear from 1 to 4 threads.
-        assert!(r.ipc[3] > r.ipc[0] * 3.0, "{}: {:?}", r.bench, r.ipc);
-        // Slower growth from 4 to 8 (friends only hide latency).
-        let early = r.ipc[3] - r.ipc[0];
-        let late = r.ipc[7] - r.ipc[3];
-        assert!(
-            late < early,
-            "{}: late gain {late:.2} vs early {early:.2}",
-            r.bench
-        );
-        // A 4-issue core never exceeds IPC 4.
-        assert!(r.ipc.iter().all(|&v| v <= 4.0), "{}: {:?}", r.bench, r.ipc);
-    }
-}
-
-#[test]
-fn fig18_slicing_helps_most_where_packets_are_smallest() {
-    let f = figures::fig18::run(Scale::Quick);
-    let impr = |b: Benchmark| {
-        f.rows
-            .iter()
-            .find(|r| r.bench == b)
-            .expect("row")
-            .improvement(2)
+    let command = match scale {
+        Scale::Quick => format!("$ paper {id}"),
+        Scale::Paper => format!("$ paper {id} --scale paper"),
     };
-    // Everyone gains from 16 B → 2 B slices.
-    for r in &f.rows {
-        assert!(
-            r.improvement(2) > 1.05,
-            "{} gains {:.2}",
-            r.bench,
-            r.improvement(2)
-        );
-        // Monotone (allowing tiny noise): finer slices never hurt.
-        assert!(r.improvement(4) <= r.improvement(2) * 1.02, "{}", r.bench);
+    let quoted =
+        quoted_block(&command).unwrap_or_else(|| panic!("EXPERIMENTS.md has no `{command}` block"));
+    assert_eq!(
+        quoted,
+        normalized(&printed),
+        "EXPERIMENTS.md's `{command}` block differs from the run's output"
+    );
+}
+
+/// One test per experiment at quick scale, under the names the shape
+/// tests have always had.
+macro_rules! shape_tests {
+    ($($name:ident => $id:literal,)*) => {$(
+        #[test]
+        fn $name() {
+            check($id, Scale::Quick);
+        }
+    )*};
+}
+
+shape_tests! {
+    table1_matches_paper_totals => "table1",
+    table2_lists_both_machines => "table2",
+    fig01_starvation_rises_and_caches_miss => "fig01",
+    fig02_cdn_is_nic_bound_and_cache_hostile => "fig02",
+    fig08_htc_granularity_is_finer_than_conventional => "fig08",
+    fig17_ipc_scales_linearly_to_four_then_slowly => "fig17",
+    fig18_slicing_helps_most_where_packets_are_smallest => "fig18",
+    fig19_threshold_sweet_spot_is_interior => "fig19",
+    fig20_mact_wins_where_requests_are_small_and_dense => "fig20",
+    fig21_laxity_scheduler_tightens_exits_and_meets_deadlines => "fig21",
+    fig22_smarco_beats_xeon_on_performance_and_efficiency => "fig22",
+    fig23_xeon_peaks_then_declines_and_smarco_crosses => "fig23",
+    fig26_prototype_is_efficient_but_less_than_full_chip => "fig26",
+    ablation_ring_is_more_predictable_than_mesh => "ablation_mesh_vs_ring",
+    ablation_inpair_always_helps_memory_bound_threads => "ablation_inpair",
+    ablation_pim_offload_wins_on_streaming_matches => "ablation_pim_matching",
+    ablation_spm_staging_pays_for_most_benchmarks => "ablation_spm_staging",
+}
+
+/// The three figures EXPERIMENTS.md quotes at paper scale. About 2 min in
+/// a release build, so it runs only on request (`scripts/ci.sh` does).
+#[test]
+#[ignore = "paper scale: run with --release -- --ignored"]
+fn paper_scale_blocks_match_figs_22_23_26() {
+    for id in ["fig22", "fig23", "fig26"] {
+        check(id, Scale::Paper);
     }
-    // KMP and RNC (1–2 B packets) gain the most; K-means the least and is
-    // nearly flat below 8 B (§4.2.2).
-    let kmeans = f
-        .rows
-        .iter()
-        .find(|r| r.bench == Benchmark::KMeans)
-        .expect("row");
-    for b in [Benchmark::Kmp, Benchmark::Rnc] {
-        assert!(impr(b) > impr(Benchmark::KMeans) * 1.5, "{b} vs K-means");
-    }
-    let kmeans_tail = kmeans.at(2) / kmeans.at(4);
-    assert!(kmeans_tail < 1.05, "K-means 4B→2B gain {kmeans_tail:.3}");
-}
-
-#[test]
-fn fig19_threshold_sweet_spot_is_interior() {
-    let f = figures::fig19::run(Scale::Quick);
-    for r in &f.rows {
-        // 4 cycles is too short to collect anything for most benchmarks.
-        let s4 = r.speedup_norm8(4);
-        let s16 = r.speedup_norm8(16);
-        assert!(
-            s16 >= s4 * 0.98,
-            "{}: 16cy {s16:.3} vs 4cy {s4:.3}",
-            r.bench
-        );
-    }
-    // The best threshold is interior (not the shortest).
-    let best = f.best_threshold();
-    assert!(best >= 8, "best threshold {best}");
-    // At least some benchmarks decline again at 64 (read-latency cost).
-    let declining = f
-        .rows
-        .iter()
-        .filter(|r| r.speedup_norm8(64) < r.speedup_norm8(best))
-        .count();
-    assert!(declining >= 2, "only {declining} benchmarks decline at 64");
-}
-
-#[test]
-fn fig20_mact_wins_where_requests_are_small_and_dense() {
-    let f = figures::fig20::run(Scale::Quick);
-    // Request counts drop for everyone; most benchmarks speed up.
-    for r in &f.rows {
-        assert!(
-            r.request_ratio < 1.0,
-            "{}: requests {:.3}",
-            r.bench,
-            r.request_ratio
-        );
-    }
-    let wins = f.rows.iter().filter(|r| r.speedup > 1.0).count();
-    assert!(wins >= 4, "only {wins} of 6 speed up");
-    // K-means benefits least (large accesses, nothing to merge).
-    let kmeans = f
-        .rows
-        .iter()
-        .find(|r| r.bench == Benchmark::KMeans)
-        .expect("row");
-    let better = f.rows.iter().filter(|r| r.speedup > kmeans.speedup).count();
-    assert!(better >= 4, "K-means should be near the bottom");
-}
-
-#[test]
-fn fig21_laxity_scheduler_tightens_exits_and_meets_deadlines() {
-    let f = figures::fig21::run(Scale::Quick);
-    assert!(f.hardware.exit_spread() < f.software.exit_spread() / 3);
-    assert!(f.hardware.success_rate() > f.software.success_rate());
-    assert!(
-        (f.hardware.success_rate() - 1.0).abs() < 1e-9,
-        "hardware meets every deadline"
-    );
-    // The hardware's earliest exit is *later* — it spends slack on the
-    // stragglers (the paper's explicit observation).
-    assert!(f.hardware.exit_range().0 > f.software.exit_range().0);
-    assert_eq!(f.software.records.len(), 128);
-    assert_eq!(f.hardware.records.len(), 128);
-}
-
-#[test]
-fn fig22_smarco_beats_xeon_on_performance_and_efficiency() {
-    let f = figures::fig22::run(Scale::Quick);
-    assert_eq!(f.rows.len(), 6);
-    // Quick scale is a 16-core chip against a 4-core Xeon (a 2.7× peak
-    // ratio); the win must exceed what raw resources explain on average.
-    assert!(f.avg_speedup() > 1.5, "avg speedup {:.2}", f.avg_speedup());
-    assert!(
-        f.avg_efficiency() > 1.5,
-        "avg efficiency {:.2}",
-        f.avg_efficiency()
-    );
-    let winning = f.rows.iter().filter(|r| r.speedup > 1.0).count();
-    assert!(winning >= 5, "{winning} of 6 benchmarks win");
-}
-
-#[test]
-fn fig23_xeon_peaks_then_declines_and_smarco_crosses() {
-    let f = figures::fig23::run(Scale::Quick);
-    let peak = f.xeon_peak_threads();
-    // Xeon peaks near its hardware context count (8 on the small config).
-    assert!((4..=32).contains(&peak), "xeon peak at {peak}");
-    // …and has lost at least 30% of its peak at the sweep's end.
-    let peak_ips = f.rows.iter().map(|r| r.xeon_ips).fold(0.0f64, f64::max);
-    let end = f.rows.last().expect("rows").xeon_ips;
-    assert!(
-        end < peak_ips * 0.7,
-        "xeon end {end:.2e} vs peak {peak_ips:.2e}"
-    );
-    // SmarCo starts below the Xeon, crosses it, and ends on top.
-    assert!(f.rows[0].smarco_ips < f.rows[0].xeon_ips);
-    let cross = f.crossover_threads().expect("smarco should cross");
-    assert!(cross > peak / 2, "crossover at {cross}");
-    let last = f.rows.last().expect("rows");
-    assert!(last.smarco_ips > last.xeon_ips * 2.0);
-}
-
-#[test]
-fn fig26_prototype_is_efficient_but_less_than_full_chip() {
-    let f26 = figures::fig26::run(Scale::Quick);
-    let f22 = figures::fig22::run(Scale::Quick);
-    assert!(
-        f26.avg_efficiency() > 1.0,
-        "prototype EE {:.2}",
-        f26.avg_efficiency()
-    );
-    // The 40 nm, 256-thread prototype gains less than the full design
-    // (paper: 3.85× vs 6.95×).
-    assert!(
-        f26.avg_efficiency() < f22.avg_efficiency(),
-        "prototype {:.2} vs full {:.2}",
-        f26.avg_efficiency(),
-        f22.avg_efficiency()
-    );
-}
-
-#[test]
-fn table1_matches_paper_totals() {
-    let est = figures::table1::run(Scale::Quick);
-    assert!(
-        (est.total_area_mm2() - 751.0).abs() < 8.0,
-        "area {:.1}",
-        est.total_area_mm2()
-    );
-    assert!(
-        (est.total_power_w() - 240.09).abs() < 2.5,
-        "power {:.2}",
-        est.total_power_w()
-    );
-    // Cores dominate both budgets, as in the paper.
-    let cores = est.component("Cores").expect("cores row");
-    assert!(cores.area_mm2 / est.total_area_mm2() > 0.8);
-    assert!(cores.power_w / est.total_power_w() > 0.8);
-}
-
-#[test]
-fn table2_lists_both_machines() {
-    let t = figures::table2::run(Scale::Quick);
-    let text = t.to_string();
-    assert!(text.contains("256 cores, 2048 threads"));
-    assert!(text.contains("24 cores, 48 threads"));
-    assert!(text.contains("136.5 GB/s"));
-    assert!(text.contains("85.0 GB/s"));
-}
-
-// ---- Ablations (design choices the paper argues qualitatively) ----
-
-#[test]
-fn ablation_ring_is_more_predictable_than_mesh() {
-    let a = figures::ablations::mesh_vs_ring(Scale::Quick);
-    // The paper's §3.2 claim is predictability, not raw latency: the
-    // ring's worst case stays close to its mean.
-    let ring_spread = a.ring_max / a.ring_mean.max(1e-9);
-    let mesh_spread = a.mesh_max / a.mesh_mean.max(1e-9);
-    assert!(
-        ring_spread < mesh_spread,
-        "ring {ring_spread:.2} vs mesh {mesh_spread:.2}"
-    );
-    assert!(a.ring_throughput > 0.0 && a.mesh_throughput > 0.0);
-}
-
-#[test]
-fn ablation_inpair_always_helps_memory_bound_threads() {
-    let rows = figures::ablations::inpair_ablation(Scale::Quick);
-    for r in &rows {
-        assert!(
-            r.full >= r.no_inpair * 0.99,
-            "{}: in-pair never hurts",
-            r.bench
-        );
-        assert!(r.full >= r.no_iseg * 0.98, "{}: iseg never hurts", r.bench);
-    }
-    // The memory-heaviest benchmark gains the most from pairing.
-    let rnc = rows
-        .iter()
-        .find(|r| r.bench == Benchmark::Rnc)
-        .expect("row");
-    assert!(rnc.full / rnc.no_inpair > 1.2, "RNC pairing gain");
-}
-
-#[test]
-fn ablation_spm_staging_pays_for_most_benchmarks() {
-    let rows = figures::ablations::staging_ablation(Scale::Quick);
-    let wins = rows
-        .iter()
-        .filter(|r| r.unstaged_cycles as f64 / r.staged_cycles as f64 > 1.2)
-        .count();
-    assert!(
-        wins >= 4,
-        "{wins} of 6 benchmarks should gain ≥1.2x from staging"
-    );
-    // Staging slashes DRAM traffic across the board.
-    for r in &rows {
-        assert!(
-            r.staged_requests < r.unstaged_requests,
-            "{}: staged {} vs unstaged {}",
-            r.bench,
-            r.staged_requests,
-            r.unstaged_requests
-        );
-    }
-}
-
-#[test]
-fn ablation_pim_offload_wins_on_streaming_matches() {
-    let r = figures::ablations::pim_matching(Scale::Quick);
-    // §7's premise: fixed-pattern scans should not drag the whole text
-    // across the channel — offload wins by an order of magnitude and
-    // collapses channel traffic to a handful of commands.
-    assert!(r.speedup() > 5.0, "offload speedup {:.1}", r.speedup());
-    assert!(
-        r.pim_commands * 100 < r.core_dram_requests,
-        "{} commands vs {} requests",
-        r.pim_commands,
-        r.core_dram_requests
-    );
 }
