@@ -2,7 +2,7 @@
 //!
 //! Sweeps the six HTC benchmarks across PDES worker counts with
 //! [`smarco_sim::prof`] enabled and writes one machine-readable record per
-//! run to [`BENCH_FILE`] — ROADMAP item 1's `BENCH_parallel.json`. Each
+//! run to [`BENCH_FILE`], the record of the parallel-speedup work. Each
 //! record embeds the full [`ProfileReport`] (per-shard/per-worker phase
 //! buckets, window telemetry, barrier-arrival spread), so the file answers
 //! *where the simulator's wall-clock goes*: on a 2-cycle-lookahead chip
@@ -342,7 +342,7 @@ pub fn gate_baseline_cpus(json: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smarco_sim::prof::{PathStats, Telemetry};
+    use smarco_sim::prof::Telemetry;
 
     fn report(barrier_ns: u64, busy_ns: u64) -> ProfileReport {
         let w = smarco_sim::prof::WorkerProfile {
@@ -356,8 +356,6 @@ mod tests {
             shard_names: Vec::new(),
             workers: vec![w],
             telemetry: Telemetry::default(),
-            inline: PathStats::default(),
-            parallel: PathStats::default(),
             slices: Vec::new(),
             dropped_slices: 0,
             obs_ns: 0,

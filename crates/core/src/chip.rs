@@ -372,13 +372,6 @@ impl SmarcoSystem {
                 crate::contract::horizon_contract(&self.config),
                 ChipMsg::contract_class,
             );
-            // Widening is a no-op on today's chip contracts: junction
-            // traffic flows between every sub-ring and the hub with
-            // exactly `boundary_latency()` delay, so the minimum reachable
-            // floor equals the base lookahead. The call keeps the policy
-            // wired for configurations whose slowest class floor rises
-            // above the junction latency.
-            self.engine.widen_from_contract();
         } else {
             self.engine.clear_contract();
         }

@@ -1,5 +1,5 @@
 //! Rack-scale SmarCo: N chips on an inter-chip fabric, serving a live
-//! open-loop request stream (ROADMAP item 2).
+//! open-loop request stream (the ROADMAP's rack-scale serving aim).
 //!
 //! The cluster is a second, outer PDES level built from the same
 //! machinery as the chip. Where [`crate::chip::SmarcoSystem`] shards one
@@ -446,7 +446,6 @@ impl ClusterBuilder {
         }
         contract.set_class_floors(vec![self.fabric.latency]);
         engine.set_contract(contract, ClusterMsg::contract_class);
-        engine.widen_from_contract();
 
         Ok(Cluster {
             engine,
@@ -507,7 +506,8 @@ impl Cluster {
     }
 
     /// Builds the cluster-wide report at the current cycle: the
-    /// frontend's latency/SLO view plus every chip's [`SmarcoReport`].
+    /// frontend's latency/SLO view plus every chip's
+    /// [`SmarcoReport`](crate::SmarcoReport).
     pub fn report(&self) -> ClusterReport {
         let front = self.frontend();
         ClusterReport {

@@ -94,25 +94,4 @@ mod tests {
         let c = horizon_contract(&cfg);
         assert_eq!(c.class_floor(ChipMsg::CLASS_DIRECT), u64::MAX);
     }
-
-    #[test]
-    fn chip_floors_pin_window_widening_at_the_junction_latency() {
-        // The engine's contract-widening policy can only grow windows
-        // beyond the base lookahead when *every* reachable (pair, class)
-        // floor exceeds it. On the chip that never happens: junction
-        // traffic crosses every sub-ring/hub boundary with exactly
-        // `boundary_latency()` delay each cycle, so the minimum reachable
-        // floor equals the base lookahead and widening is a no-op. This
-        // test documents that pinning — if a config ever raises its
-        // slowest class above the junction latency, the engine widens
-        // automatically and this stops holding.
-        for cfg in [SmarcoConfig::tiny(), SmarcoConfig::smarco()] {
-            let c = horizon_contract(&cfg);
-            assert_eq!(
-                c.min_reachable_floor(),
-                Some(cfg.noc.boundary_latency()),
-                "chip widening should be pinned at the junction latency"
-            );
-        }
-    }
 }

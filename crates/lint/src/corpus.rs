@@ -8,9 +8,9 @@
 //! documentation — each entry is a minimal reproduction of one failure
 //! mode the passes exist to catch.
 //!
-//! Every entry runs through [`lint_model`](crate::lint_model), the same
-//! entry point the CLI sweep uses, so the corpus exercises the real
-//! composition of passes, not the passes in isolation.
+//! Every entry runs through [`lint_model`], the same entry point the CLI
+//! sweep uses, so the corpus exercises the real composition of passes,
+//! not the passes in isolation.
 
 use smarco_core::config::SmarcoConfig;
 use smarco_core::fault::{Fault, FaultPlan, RetryPolicy};

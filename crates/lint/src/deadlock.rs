@@ -1,5 +1,5 @@
 //! Pass (a) — **SL042x** static deadlock analysis over the
-//! [`ChipModel`](crate::model::ChipModel) graph.
+//! [`ChipModel`] graph.
 //!
 //! The chip's request paths form a directed graph; the engine's
 //! blocking discipline means a request parked behind a permanently

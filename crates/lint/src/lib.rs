@@ -35,8 +35,8 @@
 //! * [`schedbound`] — **SL0430/SL0431** worst-case latency bounds: the
 //!   fault plan's composed worst-case delay against MACT deadlines,
 //!   task laxities, and MapReduce phase budgets.
-//! * [`corpus`] — the negative-config corpus: one seeded bad config per
-//!   model-pass trigger, self-verifying in tests and in CI.
+//! * [`corpus`](mod@corpus) — the negative-config corpus: one seeded bad
+//!   config per model-pass trigger, self-verifying in tests and in CI.
 //!
 //! Every finding is a [`Diagnostic`] with a stable `SLxxxx` code, a
 //! severity (deny / warn / note), a span, and usually a help line;

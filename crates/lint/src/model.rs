@@ -469,7 +469,7 @@ impl PartitionLevel {
         }
     }
 
-    /// An outer chip-as-shard fabric level (ROADMAP item 2): `chips`
+    /// An outer chip-as-shard fabric level (rack-scale serving): `chips`
     /// chips, one per shard, crossed by an inter-chip fabric with the
     /// given `lookahead` (= its minimum hop latency), driven by
     /// `workers` host threads.

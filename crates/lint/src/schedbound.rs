@@ -1,5 +1,5 @@
 //! Pass (c) — **SL043x** worst-case latency and schedulability bounds
-//! over the [`ChipModel`](crate::model::ChipModel).
+//! over the [`ChipModel`].
 //!
 //! The recovery stack turns faults into *delay*: retransmits back off
 //! exponentially, DDR stalls park requests, a channel death costs a

@@ -419,30 +419,6 @@ impl EventTrace {
         head.iter().chain(tail.iter())
     }
 
-    /// Deterministically merges per-shard traces into one buffer: events
-    /// order by cycle, same-cycle ties break by the order of `parts` (the
-    /// shard index), and events of one part keep their emission order.
-    /// Eviction counts carry over, so `total()` on the merged trace still
-    /// counts every event emitted chip-wide.
-    pub fn merged<'a>(
-        parts: impl IntoIterator<Item = &'a EventTrace>,
-        capacity: usize,
-    ) -> EventTrace {
-        let mut out = EventTrace::new(capacity);
-        let mut events: Vec<TraceEvent> = Vec::new();
-        for part in parts {
-            out.dropped += part.dropped();
-            events.extend(part.iter().copied());
-        }
-        // Each part is already nondecreasing in cycle; a stable sort on the
-        // cycle alone therefore yields (cycle, part, emission) order.
-        events.sort_by_key(|e| e.cycle);
-        for ev in events {
-            out.emit(ev);
-        }
-        out
-    }
-
     /// Count of retained events per event-type name.
     pub fn counts_by_kind(&self) -> BTreeMap<&'static str, u64> {
         let mut out = BTreeMap::new();
@@ -460,36 +436,13 @@ impl EventTrace {
         let mut tracks: Vec<Track> = self.iter().map(|e| e.track).collect();
         tracks.sort_unstable();
         tracks.dedup();
-        let mut out = String::with_capacity(64 * (self.buf.len() + tracks.len()) + 64);
-        out.push_str("{\"traceEvents\":[\n");
-        let mut first = true;
+        let mut trace = ChromeTrace::new(64 * (self.buf.len() + tracks.len()) + 64);
         // Metadata: name each pid (unit group) and tid (unit).
         for t in &tracks {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = writeln!(
-                out,
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}},",
-                t.pid(),
-                t.group_name()
-            );
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{},\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                t.pid(),
-                t.tid(),
-                t.name()
-            );
+            trace.track(t.pid(), t.group_name(), t.tid(), &t.name());
         }
         for ev in self.iter() {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
+            let out = trace.event();
             match ev.kind.duration() {
                 Some(dur) => {
                     let _ = write!(
@@ -517,20 +470,67 @@ impl EventTrace {
                     );
                 }
             }
-            ev.kind.write_args_json(&mut out);
+            ev.kind.write_args_json(out);
             out.push('}');
         }
-        let _ = write!(
-            out,
-            "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"dropped_events\":{}}}}}\n",
-            self.dropped
-        );
-        out
+        trace.finish("dropped_events", self.dropped)
     }
 
     /// Writes [`to_chrome_json`](Self::to_chrome_json) to `path`.
     pub fn write_chrome_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
         fs::write(path, self.to_chrome_json())
+    }
+}
+
+/// Chrome `trace_event` JSON writer shared by the chip's [`EventTrace`]
+/// and the host profile's timeline: the object-with-`traceEvents` form
+/// Perfetto and `chrome://tracing` load directly. It writes the envelope,
+/// the `process_name`/`thread_name` metadata pair of each track, the
+/// separators and the `displayTimeUnit`/`otherData` trailer; callers
+/// write each event object into [`event`](Self::event).
+pub(crate) struct ChromeTrace {
+    out: String,
+    first: bool,
+}
+
+impl ChromeTrace {
+    /// Opens the `traceEvents` array in a buffer of `capacity` bytes.
+    pub(crate) fn new(capacity: usize) -> Self {
+        let mut out = String::with_capacity(capacity);
+        out.push_str("{\"traceEvents\":[\n");
+        Self { out, first: true }
+    }
+
+    /// Starts the next array element and returns the buffer to write it
+    /// into.
+    pub(crate) fn event(&mut self) -> &mut String {
+        if !self.first {
+            self.out.push_str(",\n");
+        }
+        self.first = false;
+        &mut self.out
+    }
+
+    /// Names thread `tid` of process `pid`: `group` is the process name
+    /// shown for the pid, `name` the track's own.
+    pub(crate) fn track(&mut self, pid: u64, group: &str, tid: u64, name: &str) {
+        let _ = write!(
+            self.event(),
+            "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
+             \"args\":{{\"name\":\"{group}\"}}}},\n\
+             {{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
+             \"args\":{{\"name\":\"{name}\"}}}}"
+        );
+    }
+
+    /// Closes the array and returns the document, whose `otherData`
+    /// reports `dropped` under `dropped_key`.
+    pub(crate) fn finish(mut self, dropped_key: &str, dropped: u64) -> String {
+        let _ = write!(
+            self.out,
+            "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"{dropped_key}\":{dropped}}}}}\n"
+        );
+        self.out
     }
 }
 
@@ -836,6 +836,31 @@ mod tests {
         // Balanced braces/brackets — cheap structural validity check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn chrome_trace_writer_frames_every_export() {
+        let mut trace = ChromeTrace::new(0);
+        trace.track(7, "group", 3, "unit");
+        let _ = write!(trace.event(), "{{\"ph\":\"X\"}}");
+        let json = trace.finish("dropped_things", 2);
+        assert_eq!(
+            json,
+            "{\"traceEvents\":[\n\
+             {\"ph\":\"M\",\"name\":\"process_name\",\"pid\":7,\"tid\":0,\
+             \"args\":{\"name\":\"group\"}},\n\
+             {\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":7,\"tid\":3,\
+             \"args\":{\"name\":\"unit\"}},\n\
+             {\"ph\":\"X\"}\n\
+             ],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped_things\":2}}\n"
+        );
+        // An empty trace is still a loadable document.
+        let empty = ChromeTrace::new(0).finish("dropped_events", 0);
+        assert_eq!(
+            empty,
+            "{\"traceEvents\":[\n\n],\"displayTimeUnit\":\"ns\",\
+             \"otherData\":{\"dropped_events\":0}}\n"
+        );
     }
 
     #[test]

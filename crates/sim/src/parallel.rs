@@ -30,17 +30,17 @@
 //! (`run_windowed(n, 1)` with a 1-cycle clamp at the end of a run) produces
 //! the same states and messages as full-lookahead windows.
 //!
+//! Every worker count runs the same window loop over a group of shards:
+//! one group runs it on the calling thread, more groups run it on scoped
+//! threads that meet at a barrier after each window.
+//!
 //! The hot path is allocation- and contention-free in steady state. Each
 //! lane owns a recycled envelope slab (an arena reused window after
 //! window) for its outbox, and emitted envelopes are published straight
 //! into a cache-line-padded per-(destination, source) mailbox matrix — a
-//! flat-combining [`Exchange`]: routing work rides along with each lane's
+//! flat-combining exchange: routing work rides along with each lane's
 //! step instead of serializing at the barrier, so the barrier's serial
-//! section shrinks to an O(1) horizon fold. When a [`HorizonContract`]
-//! proves that every message class is delayed by more than the base
-//! lookahead, [`ParallelEngine::widen_from_contract`] grows the window to
-//! the contract's minimum floor, amortizing each barrier over more
-//! simulated cycles.
+//! section shrinks to an O(1) horizon fold.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -454,82 +454,6 @@ struct StepOutcome {
     routed: u64,
 }
 
-/// One shard's window: drain the lane's mailbox row into the inbox, then
-/// either skip (when the shard's horizon and inbox both clear the window)
-/// or settle the pending skip range, run the model, refresh the cached
-/// horizon and publish the produced envelopes straight into the exchange.
-fn window_step<S: Shard>(
-    lane: &mut Lane<'_, S>,
-    from: Cycle,
-    to: Cycle,
-    exchange: &Exchange<S::Msg>,
-    skip: bool,
-    contract: Option<&ContractCheck<S::Msg>>,
-    timed: bool,
-) -> StepOutcome {
-    exchange.drain_row(lane.i, lane.inbox);
-    if skip && lane.horizon() >= to {
-        // Nothing can happen in [from, to): the window joins the lane's
-        // pending skip range. No outbox is created — a quiescent shard
-        // emits nothing, so the sequence counter is untouched and
-        // delivery order is unchanged.
-        return StepOutcome {
-            skipped: true,
-            settle_ns: 0,
-            routed_due: u64::MAX,
-            routed: 0,
-        };
-    }
-    let settle_ns = lane.settle(from, timed);
-    let buf = std::mem::take(lane.slab);
-    let mut outbox = Outbox::new(lane.i, to, *lane.seq, buf);
-    lane.shard.run_window(from, to, lane.inbox, &mut outbox);
-    *lane.seq = outbox.next_seq;
-    lane.settled = to;
-    if skip {
-        lane.horizon = lane.shard.next_event(to).unwrap_or(u64::MAX);
-    }
-    // Debug-build horizon cross-check: every envelope emitted this window
-    // must respect the statically derived contract — reachable pair, and
-    // timestamp no earlier than window start + the pair/class floor. This
-    // is the runtime half of lint code SL0421: both sides evaluate the
-    // same `HorizonContract`, so a static "clean" verdict and a quiet
-    // debug run certify the same predicate.
-    #[cfg(debug_assertions)]
-    if let Some((contract, classify)) = contract {
-        for env in &outbox.envelopes {
-            let floor = contract.floor(env.from, env.to, classify(&env.msg));
-            assert!(
-                floor != u64::MAX,
-                "horizon contract: shard {} must never message shard {}",
-                env.from,
-                env.to
-            );
-            assert!(
-                env.at >= from.saturating_add(floor),
-                "horizon contract: shard {} message to {} timestamped {} \
-                 under-runs floor {} from window start {}",
-                env.from,
-                env.to,
-                env.at,
-                floor,
-                from
-            );
-        }
-    }
-    #[cfg(not(debug_assertions))]
-    let _ = contract;
-    let (routed_due, routed) = exchange.publish(lane.i, &mut outbox.envelopes);
-    // The drained buffer (empty, capacity intact) goes back in the slab.
-    *lane.slab = outbox.envelopes;
-    StepOutcome {
-        skipped: false,
-        settle_ns,
-        routed_due,
-        routed,
-    }
-}
-
 /// Charges one lane's window to a worker's profile: a skipped window to
 /// the skip phase; a stepped one to the step phase, less the time its
 /// pending skip range took to apply, which goes to the skip phase. On
@@ -635,15 +559,17 @@ impl SpinBarrier {
         }
     }
 
+    /// A barrier for `parties` waiters. A lone party never waits, so it
+    /// skips the host CPU query, which costs more than a short window.
     fn new(parties: usize) -> Self {
-        let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
-        Self::with_spin_budget(parties, Self::spin_budget(parties, host_cpus))
-    }
-
-    fn with_spin_budget(parties: usize, spins_per_yield: u32) -> Self {
+        let host_cpus = if parties > 1 {
+            std::thread::available_parallelism().map_or(1, usize::from)
+        } else {
+            1
+        };
         Self {
             parties,
-            spins_per_yield,
+            spins_per_yield: Self::spin_budget(parties, host_cpus),
             arrived: CachePadded(AtomicUsize::new(0)),
             generation: CachePadded(AtomicUsize::new(0)),
         }
@@ -673,6 +599,281 @@ impl SpinBarrier {
     }
 }
 
+/// What one lane group's window loop did: the shard-cycles it stepped
+/// and skipped, the window boundaries it crossed, and its profile
+/// scratch when profiling.
+struct GroupRun {
+    stepped: u64,
+    skipped: u64,
+    windows: u64,
+    scratch: Option<WorkerScratch>,
+}
+
+/// One [`ParallelEngine::run_windowed`] call as every lane group sees
+/// it: the run's bounds and window length, the exchange and contract,
+/// the profiling context (all dead when profiling is off), and the words
+/// the groups share across the window barrier. Every shared word gets
+/// its own padded line: each worker hammers them once per window,
+/// exactly where false sharing hurts most.
+struct WindowLoop<'a, M> {
+    start: Cycle,
+    end: Cycle,
+    lookahead: Cycle,
+    skip: bool,
+    /// Shard count of the whole engine.
+    n: usize,
+    exchange: &'a Exchange<M>,
+    /// Checked against every emitted envelope in debug builds only.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    contract: Option<&'a ContractCheck<M>>,
+    epoch: Option<Instant>,
+    sample_every: u64,
+    /// Windows the profile saw before this call, so sampling continues
+    /// the profile's stride across calls.
+    base_windows: u64,
+    env_bytes: u64,
+    barrier: SpinBarrier,
+    /// Cross-group horizon exchange: each group folds its lanes'
+    /// horizons *and* the due-cycles of the envelopes it published this
+    /// window in here before the barrier; the serial section swaps it
+    /// out and publishes the agreed jump target in `jump_to`.
+    horizon: CachePadded<AtomicU64>,
+    jump_to: CachePadded<AtomicU64>,
+    /// Profiling only: each window's earliest barrier arrival,
+    /// stepped-lane count and published envelope count, carried to the
+    /// serial section, which owns the window telemetry.
+    first_arrival: CachePadded<AtomicU64>,
+    occupancy: CachePadded<AtomicUsize>,
+    routed: CachePadded<AtomicU64>,
+    telemetry: Mutex<Telemetry>,
+}
+
+impl<M> WindowLoop<'_, M> {
+    /// The window loop over one lane group, charged to worker `w`: step
+    /// or skip every lane, fold the group's horizon, meet the other
+    /// groups at the barrier, and jump the clock to the agreed next
+    /// window start. The engine runs it on the calling thread when there
+    /// is one group and on scoped threads otherwise.
+    fn run_group<S: Shard<Msg = M>>(&self, w: usize, group: &mut [Lane<'_, S>]) -> GroupRun {
+        let epoch = self.epoch;
+        let timed = epoch.is_some();
+        let t_busy = epoch.map(|_| Instant::now());
+        let mut scratch = epoch.map(|_| WorkerScratch::new(w, self.n));
+        let (mut stepped, mut skipped) = (0u64, 0u64);
+        // Window ordinal, identical across groups (the barrier keeps them
+        // in lockstep), so every group agrees on which windows are
+        // sampled.
+        let mut win = 0u64;
+        let mut now = self.start;
+        while now < self.end {
+            let to = now.saturating_add(self.lookahead).min(self.end);
+            let sampled = timed && (self.base_windows + win).is_multiple_of(self.sample_every);
+            let mut stepped_lanes = 0usize;
+            let (mut win_due, mut win_routed) = (u64::MAX, 0u64);
+            for lane in group.iter_mut() {
+                let t0 = epoch.map(|_| Instant::now());
+                let out = self.step_lane(lane, now, to);
+                win_due = win_due.min(out.routed_due);
+                win_routed += out.routed;
+                if out.skipped {
+                    skipped += to - now;
+                } else {
+                    stepped += to - now;
+                    stepped_lanes += 1;
+                }
+                if let (Some(epoch), Some(scratch), Some(t0)) = (epoch, scratch.as_mut(), t0) {
+                    charge_lane(scratch, lane.i, &out, epoch, t0, sampled);
+                }
+            }
+            if self.skip {
+                // Published due-cycles fold into the same shared horizon
+                // as the lane horizons: every group knows its own
+                // publishes, so no serial routing pass is needed to see
+                // the full minimum.
+                let h = group.iter().map(Lane::horizon).fold(win_due, u64::min);
+                self.horizon.0.fetch_min(h, MemOrder::AcqRel);
+            }
+            if timed && win_routed > 0 {
+                self.routed.0.fetch_add(win_routed, MemOrder::AcqRel);
+            }
+            let t_arrive = epoch.map(|_| Instant::now());
+            if sampled {
+                if let (Some(epoch), Some(t0)) = (epoch, t_arrive) {
+                    self.occupancy.0.fetch_add(stepped_lanes, MemOrder::AcqRel);
+                    self.first_arrival
+                        .0
+                        .fetch_min(ns_between(epoch, t0), MemOrder::AcqRel);
+                }
+            }
+            let mut serial_ns = 0u64;
+            self.barrier
+                .wait_with(|| serial_ns = self.close_window(to, sampled, t_arrive));
+            if let (Some(epoch), Some(scratch), Some(t0)) = (epoch, scratch.as_mut(), t_arrive) {
+                let total = ns_since(t0);
+                let wait = total.saturating_sub(serial_ns);
+                scratch.prof.barrier_ns += wait;
+                scratch.prof.route_ns += serial_ns;
+                scratch.prof.windows += 1;
+                if sampled {
+                    let start_ns = ns_between(epoch, t0);
+                    scratch.slices.push(HostSlice {
+                        track: HostTrack::Worker(w),
+                        phase: HostPhase::Barrier,
+                        start_ns,
+                        dur_ns: wait,
+                    });
+                    if serial_ns > 0 {
+                        scratch.slices.push(HostSlice {
+                            track: HostTrack::Worker(w),
+                            phase: HostPhase::Route,
+                            start_ns: start_ns + wait,
+                            dur_ns: serial_ns,
+                        });
+                    }
+                }
+            }
+            win += 1;
+            now = to;
+            if self.skip {
+                // The barrier release orders this load after the serial
+                // section's store. The group's pending skip ranges just
+                // extend to the jump target.
+                let jump = self.jump_to.0.load(MemOrder::Relaxed);
+                if jump > now {
+                    skipped += (jump - now) * group.len() as u64;
+                    now = jump;
+                }
+            }
+        }
+        settle_lanes(group, self.end, scratch.as_mut());
+        if let (Some(scratch), Some(t0)) = (scratch.as_mut(), t_busy) {
+            scratch.prof.busy_ns = ns_since(t0);
+        }
+        GroupRun {
+            stepped,
+            skipped,
+            windows: win,
+            scratch,
+        }
+    }
+
+    /// One lane's window: drain its mailbox row into the inbox, then
+    /// either skip (when the shard's horizon and inbox both clear the
+    /// window) or settle the pending skip range, run the model, refresh
+    /// the cached horizon and publish the produced envelopes straight
+    /// into the exchange.
+    fn step_lane<S: Shard<Msg = M>>(
+        &self,
+        lane: &mut Lane<'_, S>,
+        from: Cycle,
+        to: Cycle,
+    ) -> StepOutcome {
+        self.exchange.drain_row(lane.i, lane.inbox);
+        if self.skip && lane.horizon() >= to {
+            // Nothing can happen in [from, to): the window joins the lane's
+            // pending skip range. No outbox is created — a quiescent shard
+            // emits nothing, so the sequence counter is untouched and
+            // delivery order is unchanged.
+            return StepOutcome {
+                skipped: true,
+                settle_ns: 0,
+                routed_due: u64::MAX,
+                routed: 0,
+            };
+        }
+        let settle_ns = lane.settle(from, self.epoch.is_some());
+        let buf = std::mem::take(lane.slab);
+        let mut outbox = Outbox::new(lane.i, to, *lane.seq, buf);
+        lane.shard.run_window(from, to, lane.inbox, &mut outbox);
+        *lane.seq = outbox.next_seq;
+        lane.settled = to;
+        if self.skip {
+            lane.horizon = lane.shard.next_event(to).unwrap_or(u64::MAX);
+        }
+        // Debug-build horizon cross-check: every envelope emitted this window
+        // must respect the statically derived contract — reachable pair, and
+        // timestamp no earlier than window start + the pair/class floor. This
+        // is the runtime half of lint code SL0421: both sides evaluate the
+        // same `HorizonContract`, so a static "clean" verdict and a quiet
+        // debug run certify the same predicate.
+        #[cfg(debug_assertions)]
+        if let Some((contract, classify)) = self.contract {
+            for env in &outbox.envelopes {
+                let floor = contract.floor(env.from, env.to, classify(&env.msg));
+                assert!(
+                    floor != u64::MAX,
+                    "horizon contract: shard {} must never message shard {}",
+                    env.from,
+                    env.to
+                );
+                assert!(
+                    env.at >= from.saturating_add(floor),
+                    "horizon contract: shard {} message to {} timestamped {} \
+                     under-runs floor {} from window start {}",
+                    env.from,
+                    env.to,
+                    env.at,
+                    floor,
+                    from
+                );
+            }
+        }
+        let (routed_due, routed) = self.exchange.publish(lane.i, &mut outbox.envelopes);
+        // The drained buffer (empty, capacity intact) goes back in the slab.
+        *lane.slab = outbox.envelopes;
+        StepOutcome {
+            skipped: false,
+            settle_ns,
+            routed_due,
+            routed,
+        }
+    }
+
+    /// The barrier's serial section, run by the last group to arrive at
+    /// the end of the window `[.., to)`: whole-run fast-forward — if
+    /// every shard, every undelivered message, and every just-published
+    /// envelope is beyond `to`, the next window starts at the earliest of
+    /// them instead of grinding out empty windows — plus, when
+    /// profiling, the window's telemetry. O(1), since routing already
+    /// happened inside each group's step. Returns the nanoseconds it took
+    /// when profiling, else 0.
+    fn close_window(&self, to: Cycle, sampled: bool, t_arrive: Option<Instant>) -> u64 {
+        let t_serial = self.epoch.map(|_| Instant::now());
+        let mut jump = to;
+        if self.skip {
+            let h = self.horizon.0.swap(u64::MAX, MemOrder::AcqRel);
+            jump = if h > to { h.min(self.end) } else { to };
+            self.jump_to.0.store(jump, MemOrder::Relaxed);
+        }
+        let (Some(epoch), Some(t0)) = (self.epoch, t_serial) else {
+            return 0;
+        };
+        let n_envs = self.routed.0.swap(0, MemOrder::AcqRel);
+        let mut tel = self.telemetry.lock().expect("prof telemetry lock");
+        tel.windows += 1;
+        tel.envelopes_total += n_envs;
+        tel.envelope_bytes += n_envs * self.env_bytes;
+        if jump > to {
+            tel.jumps += 1;
+        }
+        if sampled {
+            let occ = self.occupancy.0.swap(0, MemOrder::AcqRel);
+            tel.record_sampled(occ, self.n, n_envs);
+            // Barrier-arrival spread: this group arrived last, so its own
+            // arrival minus the published minimum spans all arrivers. A
+            // lone group waits for nobody and records none.
+            let first = self.first_arrival.0.swap(u64::MAX, MemOrder::AcqRel);
+            if let (true, Some(me)) = (self.barrier.parties > 1, t_arrive) {
+                let me = ns_between(epoch, me);
+                if first <= me {
+                    tel.spread.record((me - first) as f64);
+                }
+            }
+        }
+        ns_since(t0)
+    }
+}
+
 /// Drives a set of shards with conservative window synchronization.
 ///
 /// With cycle skipping enabled (the default), the engine additionally
@@ -697,9 +898,6 @@ pub struct ParallelEngine<S: Shard> {
     inboxes: Vec<Inbox<S::Msg>>,
     seqs: Vec<u64>,
     lookahead: Cycle,
-    // Window length actually used: `lookahead` unless
-    // `widen_from_contract` proved a larger floor.
-    effective_lookahead: Cycle,
     now: Cycle,
     skip_enabled: bool,
     stepped_cycles: u64,
@@ -739,7 +937,6 @@ impl<S: Shard> ParallelEngine<S> {
             inboxes,
             seqs,
             lookahead,
-            effective_lookahead: lookahead,
             now: 0,
             skip_enabled: true,
             stepped_cycles: 0,
@@ -767,57 +964,17 @@ impl<S: Shard> ParallelEngine<S> {
             "contract shard count mismatch"
         );
         self.contract = Some((contract, classify));
-        // A new contract invalidates any widening derived from the old
-        // one; widening is an explicit policy, re-opt-in per contract.
-        self.effective_lookahead = self.lookahead;
     }
 
     /// Removes an installed horizon contract (for A/B-testing that the
-    /// checker is observation-only) and resets any contract-derived
-    /// window widening.
+    /// checker is observation-only).
     pub fn clear_contract(&mut self) {
         self.contract = None;
-        self.effective_lookahead = self.lookahead;
     }
 
     /// The installed horizon contract, if any.
     pub fn contract(&self) -> Option<&HorizonContract> {
         self.contract.as_ref().map(|(c, _)| c)
-    }
-
-    /// Widens the window length to the installed contract's minimum
-    /// reachable floor when that exceeds the base lookahead, and returns
-    /// the effective lookahead now in force (unchanged when no contract
-    /// is installed or the contract doesn't permit more).
-    ///
-    /// Soundness: the contract promises every message of every class is
-    /// delayed by at least its floor from the emitting window's start, so
-    /// any window no longer than the minimum floor over all reachable
-    /// (pair, class) combinations is still conservative. The promise is
-    /// enforced, not trusted: the [`Outbox`] rejects any send inside the
-    /// widened window outright, and debug builds additionally check every
-    /// envelope against the contract floor itself — a contract that
-    /// overstates the model's real delays fails loudly instead of
-    /// diverging silently. Widening is an explicit policy (not implied by
-    /// [`set_contract`](Self::set_contract)) because it changes window
-    /// boundaries: results stay bit-identical across worker counts and
-    /// cycle skipping either way, but models that emit per *window*
-    /// rather than per simulated cycle observe the boundary change.
-    pub fn widen_from_contract(&mut self) -> Cycle {
-        if let Some((contract, _)) = &self.contract {
-            // No reachable pair at all means the shards are proven fully
-            // independent: the whole run is one window.
-            let floor = contract.min_reachable_floor().unwrap_or(u64::MAX);
-            self.effective_lookahead = self.lookahead.max(floor);
-        }
-        self.effective_lookahead
-    }
-
-    /// The window length currently in force: the construction-time
-    /// lookahead, unless [`widen_from_contract`](Self::widen_from_contract)
-    /// proved a larger one.
-    pub fn effective_lookahead(&self) -> Cycle {
-        self.effective_lookahead
     }
 
     /// Window boundaries processed so far, across all runs. Every worker
@@ -903,23 +1060,24 @@ impl<S: Shard> ParallelEngine<S> {
     }
 
     /// The windowing core: advances all shards by `cycles` using up to
-    /// `workers` host threads (clamped to `1..=shards`). One worker runs
-    /// inline on the calling thread with no synchronization; more workers
-    /// split the shards into contiguous groups, synchronize at window
-    /// boundaries with a barrier, and publish envelopes through the
-    /// mailbox exchange as part of their own steps — the barrier's serial
-    /// section only folds horizons. Results are bit-identical for every
-    /// worker count.
+    /// `workers` host threads (clamped to `1..=shards`). The shards split
+    /// into contiguous groups, one per worker, and every group runs the
+    /// same window loop: one group on the calling thread, more on scoped
+    /// threads that synchronize at window boundaries with a barrier and
+    /// publish envelopes through the mailbox exchange as part of their
+    /// own steps — the barrier's serial section only folds horizons.
+    /// Results are bit-identical for every worker count.
     pub fn run_windowed(&mut self, cycles: Cycle, workers: usize) {
         let end = self.now + cycles;
         if self.now >= end {
             return;
         }
         let n = self.shards.len();
-        let workers = workers.clamp(1, n);
-        let lookahead = self.effective_lookahead;
+        let group_size = n.div_ceil(workers.clamp(1, n));
+        let groups = n.div_ceil(group_size);
         let start = self.now;
         let skip = self.skip_enabled;
+        let lookahead = self.lookahead;
         let Self {
             shards,
             inboxes,
@@ -930,15 +1088,27 @@ impl<S: Shard> ParallelEngine<S> {
             contract,
             ..
         } = self;
-        let exchange: &Exchange<S::Msg> = exchange;
-        let prof = prof.as_deref_mut();
-        let contract = contract.as_ref();
-        // Copyable profiling context, extracted up front so worker threads
-        // never touch the profile itself. All dead when profiling is off.
-        let epoch = prof.as_ref().map(|p| p.epoch());
-        let sample_every = prof.as_ref().map_or(1, |p| p.config().sample_every.max(1));
-        let base_windows = prof.as_ref().map_or(0, |p| p.telemetry().windows);
-        let env_bytes = std::mem::size_of::<Envelope<S::Msg>>() as u64;
+        let mut prof = prof.as_deref_mut();
+        let window_loop = WindowLoop {
+            start,
+            end,
+            lookahead,
+            skip,
+            n,
+            exchange,
+            contract: contract.as_ref(),
+            epoch: prof.as_ref().map(|p| p.epoch()),
+            sample_every: prof.as_ref().map_or(1, |p| p.config().sample_every.max(1)),
+            base_windows: prof.as_ref().map_or(0, |p| p.telemetry().windows),
+            env_bytes: std::mem::size_of::<Envelope<S::Msg>>() as u64,
+            barrier: SpinBarrier::new(groups),
+            horizon: CachePadded(AtomicU64::new(u64::MAX)),
+            jump_to: CachePadded(AtomicU64::new(0)),
+            first_arrival: CachePadded(AtomicU64::new(u64::MAX)),
+            occupancy: CachePadded(AtomicUsize::new(0)),
+            routed: CachePadded(AtomicU64::new(0)),
+            telemetry: Mutex::new(Telemetry::default()),
+        };
 
         // The facade may have changed any shard since the last call, so
         // every cached horizon starts fresh.
@@ -962,295 +1132,40 @@ impl<S: Shard> ParallelEngine<S> {
                 slab,
             })
             .collect();
-        let timed = epoch.is_some();
-        let (mut stepped, mut skipped) = (0u64, 0u64);
-        let mut windows_here = 0u64;
-        if workers == 1 {
-            let t_busy = epoch.map(|_| Instant::now());
-            let mut scratch = epoch.map(|_| WorkerScratch::new(0, n));
-            let mut tel = epoch.map(|_| Telemetry::default());
-            let mut now = start;
-            while now < end {
-                let to = now.saturating_add(lookahead).min(end);
-                let win = base_windows + tel.as_ref().map_or(0, |t| t.windows);
-                let sampled = epoch.is_some() && win.is_multiple_of(sample_every);
-                let mut stepped_lanes = 0usize;
-                let (mut win_due, mut win_routed) = (u64::MAX, 0u64);
-                for lane in &mut lanes {
-                    let t0 = epoch.map(|_| Instant::now());
-                    let out = window_step(lane, now, to, exchange, skip, contract, timed);
-                    win_due = win_due.min(out.routed_due);
-                    win_routed += out.routed;
-                    if out.skipped {
-                        skipped += to - now;
-                    } else {
-                        stepped += to - now;
-                        stepped_lanes += 1;
-                    }
-                    if let (Some(epoch), Some(scratch), Some(t0)) = (epoch, scratch.as_mut(), t0) {
-                        charge_lane(scratch, lane.i, &out, epoch, t0, sampled);
-                    }
-                }
-                // Envelopes were already published lane-by-lane; the old
-                // serial routing phase reduces to bookkeeping.
-                let t_route = epoch.map(|_| Instant::now());
-                windows_here += 1;
-                if let (Some(epoch), Some(scratch), Some(tel), Some(t0)) =
-                    (epoch, scratch.as_mut(), tel.as_mut(), t_route)
-                {
-                    let ns = ns_since(t0);
-                    scratch.prof.route_ns += ns;
-                    scratch.prof.windows += 1;
-                    tel.windows += 1;
-                    tel.envelopes_total += win_routed;
-                    tel.envelope_bytes += win_routed * env_bytes;
-                    if sampled {
-                        tel.record_sampled(stepped_lanes, n, win_routed);
-                        scratch.slices.push(HostSlice {
-                            track: HostTrack::Worker(0),
-                            phase: HostPhase::Route,
-                            start_ns: ns_between(epoch, t0),
-                            dur_ns: ns,
-                        });
-                    }
-                }
-                now = to;
-                if skip && now < end {
-                    // Whole-run fast-forward: if every shard, every
-                    // undelivered message, and every just-published
-                    // envelope is beyond `now`, jump straight to the
-                    // earliest of them instead of grinding out empty
-                    // windows. Every lane's pending skip range just
-                    // extends to the new `now`.
-                    let t_skip = epoch.map(|_| Instant::now());
-                    let h = lanes.iter().map(Lane::horizon).fold(win_due, u64::min);
-                    let jumped = h > now;
-                    if jumped {
-                        let jump = h.min(end);
-                        skipped += (jump - now) * n as u64;
-                        now = jump;
-                    }
-                    if let (Some(scratch), Some(tel), Some(t0)) =
-                        (scratch.as_mut(), tel.as_mut(), t_skip)
-                    {
-                        scratch.prof.skip_ns += ns_since(t0);
-                        if jumped {
-                            tel.jumps += 1;
-                        }
-                    }
-                }
-            }
-            settle_lanes(&mut lanes, end, scratch.as_mut());
-            if let (Some(p), Some(mut scratch), Some(tel), Some(t0)) = (prof, scratch, tel, t_busy)
-            {
-                scratch.prof.busy_ns = ns_since(t0);
-                p.add_inline(scratch.prof.busy_ns, tel.windows);
+        let (mut stepped, mut skipped, mut windows) = (0u64, 0u64, 0u64);
+        let mut absorb = |run: GroupRun| {
+            stepped += run.stepped;
+            skipped += run.skipped;
+            // Every group counts the same boundaries (lockstep).
+            windows = run.windows;
+            if let (Some(p), Some(scratch)) = (prof.as_deref_mut(), run.scratch) {
                 p.merge_scratch(scratch);
-                p.merge_telemetry(&tel);
             }
+        };
+        if groups == 1 {
+            absorb(window_loop.run_group(0, &mut lanes));
         } else {
-            let group_size = n.div_ceil(workers);
-            let groups: Vec<&mut [Lane<'_, S>]> = lanes.chunks_mut(group_size).collect();
-            let barrier = SpinBarrier::new(groups.len());
-            // Cross-worker horizon exchange: each worker folds its lanes'
-            // horizons *and* the due-cycles of the envelopes it published
-            // this window into `horizon` before the barrier; the serial
-            // section just swaps it out and publishes the agreed jump
-            // target for everyone. Every shared word gets its own padded
-            // line — these are the words every worker hammers once per
-            // window, exactly where false sharing hurts most.
-            let horizon = CachePadded(AtomicU64::new(u64::MAX));
-            let jump_to = CachePadded(AtomicU64::new(0));
-            let stepped_total = CachePadded(AtomicU64::new(0));
-            let skipped_total = CachePadded(AtomicU64::new(0));
-            let windows_total = CachePadded(AtomicU64::new(0));
-            // Profiling-only shared state. Workers accumulate phase time
-            // in thread-local scratches (merged after the scope); the
-            // serial section owns the window telemetry. `first_arrival`,
-            // `occupancy`, and `routed_count` carry each window's
-            // barrier-arrival minimum, stepped-lane count, and published
-            // envelope count to the serial section.
-            let first_arrival = CachePadded(AtomicU64::new(u64::MAX));
-            let occupancy = CachePadded(AtomicUsize::new(0));
-            let routed_count = CachePadded(AtomicU64::new(0));
-            let telemetry = Mutex::new(Telemetry::default());
-            let scratches = Mutex::new(Vec::<WorkerScratch>::new());
-            let t_path = epoch.map(|_| Instant::now());
             std::thread::scope(|scope| {
-                for (w, group) in groups.into_iter().enumerate() {
-                    let (barrier, horizon, jump_to) = (&barrier, &horizon, &jump_to);
-                    let (stepped_total, skipped_total) = (&stepped_total, &skipped_total);
-                    let (first_arrival, occupancy) = (&first_arrival, &occupancy);
-                    let (routed_count, windows_total) = (&routed_count, &windows_total);
-                    let (telemetry, scratches) = (&telemetry, &scratches);
-                    scope.spawn(move || {
-                        let t_busy = epoch.map(|_| Instant::now());
-                        let mut scratch = epoch.map(|_| WorkerScratch::new(w, n));
-                        // Window ordinal, identical across workers (the
-                        // barrier keeps them in lockstep), so every thread
-                        // agrees on which windows are sampled.
-                        let mut win = 0u64;
-                        let (mut stepped, mut skipped) = (0u64, 0u64);
-                        let mut now = start;
-                        while now < end {
-                            let to = now.saturating_add(lookahead).min(end);
-                            let sampled = epoch.is_some()
-                                && (base_windows + win).is_multiple_of(sample_every);
-                            let mut stepped_lanes = 0usize;
-                            let (mut win_due, mut win_routed) = (u64::MAX, 0u64);
-                            for lane in group.iter_mut() {
-                                let t0 = epoch.map(|_| Instant::now());
-                                let out =
-                                    window_step(lane, now, to, exchange, skip, contract, timed);
-                                win_due = win_due.min(out.routed_due);
-                                win_routed += out.routed;
-                                if out.skipped {
-                                    skipped += to - now;
-                                } else {
-                                    stepped += to - now;
-                                    stepped_lanes += 1;
-                                }
-                                if let (Some(epoch), Some(scratch), Some(t0)) =
-                                    (epoch, scratch.as_mut(), t0)
-                                {
-                                    charge_lane(scratch, lane.i, &out, epoch, t0, sampled);
-                                }
-                            }
-                            if skip {
-                                // Published due-cycles fold into the same
-                                // shared horizon as the lane horizons:
-                                // every worker knows its own publishes,
-                                // so no serial routing pass is needed to
-                                // see the full minimum.
-                                let h = group.iter().map(Lane::horizon).fold(win_due, u64::min);
-                                horizon.0.fetch_min(h, MemOrder::AcqRel);
-                            }
-                            if epoch.is_some() && win_routed > 0 {
-                                routed_count.0.fetch_add(win_routed, MemOrder::AcqRel);
-                            }
-                            let t_arrive = epoch.map(|_| Instant::now());
-                            if sampled {
-                                if let (Some(epoch), Some(t0)) = (epoch, t_arrive) {
-                                    occupancy.0.fetch_add(stepped_lanes, MemOrder::AcqRel);
-                                    first_arrival
-                                        .0
-                                        .fetch_min(ns_between(epoch, t0), MemOrder::AcqRel);
-                                }
-                            }
-                            let mut serial_ns = 0u64;
-                            // Last group to finish folds the shared
-                            // horizon and picks the jump target — O(1),
-                            // since routing already happened inside each
-                            // worker's step phase — then everyone
-                            // proceeds.
-                            barrier.wait_with(|| {
-                                let t_serial = epoch.map(|_| Instant::now());
-                                let mut jump = to;
-                                if skip {
-                                    let h = horizon.0.swap(u64::MAX, MemOrder::AcqRel);
-                                    jump = if h > to { h.min(end) } else { to };
-                                    jump_to.0.store(jump, MemOrder::Relaxed);
-                                }
-                                if let (Some(epoch), Some(t0)) = (epoch, t_serial) {
-                                    let n_envs = routed_count.0.swap(0, MemOrder::AcqRel);
-                                    let mut tel = telemetry.lock().expect("prof telemetry lock");
-                                    tel.windows += 1;
-                                    tel.envelopes_total += n_envs;
-                                    tel.envelope_bytes += n_envs * env_bytes;
-                                    if jump > to {
-                                        tel.jumps += 1;
-                                    }
-                                    if sampled {
-                                        let occ = occupancy.0.swap(0, MemOrder::AcqRel);
-                                        tel.record_sampled(occ, n, n_envs);
-                                        // Barrier-arrival spread: this
-                                        // thread arrived last, so its own
-                                        // arrival minus the published
-                                        // minimum spans all arrivers.
-                                        let first =
-                                            first_arrival.0.swap(u64::MAX, MemOrder::AcqRel);
-                                        if let Some(me) = t_arrive {
-                                            let me = ns_between(epoch, me);
-                                            if first <= me {
-                                                tel.spread.record((me - first) as f64);
-                                            }
-                                        }
-                                    }
-                                    serial_ns = ns_since(t0);
-                                }
-                            });
-                            if let (Some(epoch), Some(scratch), Some(t0)) =
-                                (epoch, scratch.as_mut(), t_arrive)
-                            {
-                                let total = ns_since(t0);
-                                let wait = total.saturating_sub(serial_ns);
-                                scratch.prof.barrier_ns += wait;
-                                scratch.prof.route_ns += serial_ns;
-                                scratch.prof.windows += 1;
-                                if sampled {
-                                    let start_ns = ns_between(epoch, t0);
-                                    scratch.slices.push(HostSlice {
-                                        track: HostTrack::Worker(w),
-                                        phase: HostPhase::Barrier,
-                                        start_ns,
-                                        dur_ns: wait,
-                                    });
-                                    if serial_ns > 0 {
-                                        scratch.slices.push(HostSlice {
-                                            track: HostTrack::Worker(w),
-                                            phase: HostPhase::Route,
-                                            start_ns: start_ns + wait,
-                                            dur_ns: serial_ns,
-                                        });
-                                    }
-                                }
-                            }
-                            win += 1;
-                            now = to;
-                            if skip {
-                                // The barrier release orders this load
-                                // after the serial section's store. The
-                                // group's pending skip ranges just extend
-                                // to the jump target.
-                                let jump = jump_to.0.load(MemOrder::Relaxed);
-                                if jump > now {
-                                    skipped += (jump - now) * group.len() as u64;
-                                    now = jump;
-                                }
-                            }
-                        }
-                        settle_lanes(group, end, scratch.as_mut());
-                        stepped_total.0.fetch_add(stepped, MemOrder::Relaxed);
-                        skipped_total.0.fetch_add(skipped, MemOrder::Relaxed);
-                        if w == 0 {
-                            // Every worker counts the same boundaries
-                            // (lockstep); one representative publishes.
-                            windows_total.0.store(win, MemOrder::Relaxed);
-                        }
-                        if let (Some(mut s), Some(t0)) = (scratch, t_busy) {
-                            s.prof.busy_ns = ns_since(t0);
-                            scratches.lock().expect("prof scratch lock").push(s);
-                        }
-                    });
+                let window_loop = &window_loop;
+                let handles: Vec<_> = lanes
+                    .chunks_mut(group_size)
+                    .enumerate()
+                    .map(|(w, group)| scope.spawn(move || window_loop.run_group(w, group)))
+                    .collect();
+                // Joined in worker order, so the profile merge order is
+                // independent of thread finish order.
+                for handle in handles {
+                    absorb(
+                        handle
+                            .join()
+                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                    );
                 }
             });
-            stepped += stepped_total.0.load(MemOrder::Relaxed);
-            skipped += skipped_total.0.load(MemOrder::Relaxed);
-            windows_here += windows_total.0.load(MemOrder::Relaxed);
-            if let Some(p) = prof {
-                let tel = telemetry.into_inner().expect("prof telemetry lock");
-                if let Some(t0) = t_path {
-                    p.add_parallel(ns_since(t0), tel.windows);
-                }
-                let mut list = scratches.into_inner().expect("prof scratch lock");
-                // Sort so the merge order (and thus any float folds
-                // downstream) is independent of thread finish order.
-                list.sort_by_key(|s| s.worker);
-                for s in list {
-                    p.merge_scratch(s);
-                }
-                p.merge_telemetry(&tel);
-            }
+        }
+        if let Some(p) = prof {
+            let telemetry = window_loop.telemetry.into_inner();
+            p.merge_telemetry(&telemetry.expect("prof telemetry lock"));
         }
         // Anything published in the final window still sits in the
         // mailbox matrix: deliver it so a later run (any worker count)
@@ -1259,7 +1174,7 @@ impl<S: Shard> ParallelEngine<S> {
         exchange.drain_all(inboxes);
         self.stepped_cycles += stepped;
         self.skipped_cycles += skipped;
-        self.windows += windows_here;
+        self.windows += windows;
         self.now = end;
     }
 }
@@ -1267,6 +1182,7 @@ impl<S: Shard> ParallelEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prof::ProfileReport;
 
     /// Toy model: each shard holds a counter; every cycle it adds what it
     /// receives and every `lookahead` cycles sends its parity to the next
@@ -1816,14 +1732,62 @@ mod tests {
             }
             assert!(tel.envelopes_total > 0);
             assert!(tel.jumps > 0, "sleepers should trigger whole-run jumps");
+            assert_eq!(report.workers.len(), workers, "one account per group");
+            for w in &report.workers {
+                assert_eq!(w.windows, tel.windows, "groups run in lockstep");
+            }
             if workers > 1 {
-                assert!(report.workers.len() > 1);
                 assert!(tel.spread.count() > 0, "no barrier spread samples");
-                assert!(report.parallel.windows == tel.windows);
             } else {
-                assert_eq!(report.inline.windows, tel.windows);
+                assert_eq!(tel.spread.count(), 0, "a lone group waits for nobody");
             }
         }
+    }
+
+    /// A profiled run of `shards` at `workers` workers, sampling every
+    /// third window so sampled and unsampled windows both occur.
+    fn profiled<S: Shard>(shards: Vec<S>, workers: usize) -> ProfileReport {
+        let mut cfg = ProfConfig::on();
+        cfg.sample_every = 3;
+        let mut eng = ParallelEngine::new(shards, 2);
+        eng.enable_profiling(cfg);
+        eng.run_windowed(5_000, workers);
+        eng.profile().expect("profiling enabled").report()
+    }
+
+    /// Asserts that `run` at workers {2, 3, 6} crosses the same windows
+    /// as at one worker: everything but host time matches.
+    fn assert_same_windows(model: &str, run: impl Fn(usize) -> ProfileReport) {
+        let one = run(1);
+        assert_eq!(one.workers.len(), 1, "{model}: one worker account");
+        let spread = one.telemetry.spread.count();
+        assert_eq!(spread, 0, "{model}: spread at one worker");
+        assert!(one.telemetry.sampled_windows > 0);
+        for workers in [2, 3, 6] {
+            let r = run(workers);
+            let (a, b) = (&r.telemetry, &one.telemetry);
+            let at = format!("{model} at {workers} workers");
+            assert_eq!(a.windows, b.windows, "{at}");
+            assert_eq!(a.sampled_windows, b.sampled_windows, "{at}");
+            assert_eq!(a.jumps, b.jumps, "{at}");
+            assert_eq!(a.occupancy, b.occupancy, "{at}");
+            assert_eq!(a.envelopes, b.envelopes, "{at}");
+            assert_eq!(a.envelopes_total, b.envelopes_total, "{at}");
+            assert_eq!(a.envelope_bytes, b.envelope_bytes, "{at}");
+            assert!(a.spread.count() > 0, "{at}: no spread samples");
+            for (s, t) in r.shards.iter().zip(&one.shards) {
+                assert_eq!(s.windows_stepped, t.windows_stepped, "{at}");
+                assert_eq!(s.windows_skipped, t.windows_skipped, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_worker_count_runs_the_same_windows() {
+        // One group on the calling thread and several on scoped threads
+        // run one loop.
+        assert_same_windows("sleepers", |w| profiled(make_sleepers(6, 64), w));
+        assert_same_windows("ring", |w| profiled(make_ring(6), w));
     }
 
     #[test]
@@ -1851,6 +1815,54 @@ mod tests {
         for w in &r.workers {
             assert_eq!(w.windows, 200);
         }
+    }
+
+    #[test]
+    fn sampling_stride_continues_across_calls() {
+        // 300 windows, every 4th sampled: 75 samples whether the run is
+        // one call or six, since each call resumes the profile's stride.
+        let sampled = |calls: u64, workers: usize| {
+            let mut cfg = ProfConfig::on();
+            cfg.sample_every = 4;
+            let mut eng = ParallelEngine::new(make_ring(4), 2);
+            eng.enable_profiling(cfg);
+            for _ in 0..calls {
+                eng.run_windowed(600 / calls, workers);
+            }
+            let tel = eng.profile().expect("profiling enabled").report().telemetry;
+            assert_eq!(tel.windows, 300);
+            tel.sampled_windows
+        };
+        for workers in [1, 2] {
+            assert_eq!(sampled(1, workers), 75, "{workers} workers");
+            assert_eq!(sampled(6, workers), 75, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn one_group_runs_on_the_calling_thread() {
+        // One worker costs no thread; two workers run each group on a
+        // scoped thread of its own.
+        struct Where(Vec<std::thread::ThreadId>);
+        impl Shard for Where {
+            type Msg = ();
+            fn run_window(&mut self, _: Cycle, _: Cycle, _: &mut Inbox<()>, _: &mut Outbox<()>) {
+                self.0.push(std::thread::current().id());
+            }
+        }
+        let here = std::thread::current().id();
+        let threads = |workers: usize| {
+            let mut eng = ParallelEngine::new(vec![Where(Vec::new()), Where(Vec::new())], 2);
+            eng.run_windowed(10, workers);
+            eng.into_shards()
+                .into_iter()
+                .flat_map(|w| w.0)
+                .collect::<std::collections::HashSet<_>>()
+        };
+        assert_eq!(threads(1), [here].into());
+        let two = threads(2);
+        assert_eq!(two.len(), 2);
+        assert!(!two.contains(&here));
     }
 
     /// The satisfiable contract for `make_ring(n)` with a given lookahead:
@@ -1935,7 +1947,7 @@ mod tests {
     #[test]
     fn one_party_barrier_never_spins() {
         let barrier = SpinBarrier::new(1);
-        // The budget rule grants a lone party zero spins...
+        // A lone party gets zero spins...
         assert_eq!(barrier.spins_per_yield, 0);
         // ...and a lone party is always the last arriver, so the wait
         // loop is unreachable: the serial section runs inline every time.
@@ -1944,123 +1956,6 @@ mod tests {
             barrier.wait_with(|| ran += 1);
         }
         assert_eq!(ran, 3);
-    }
-
-    /// Per-cycle emitter with a self-imposed delay well above the base
-    /// lookahead: sends every cycle, `delay` cycles out — so any window
-    /// up to `delay` cycles is conservative for it.
-    struct Pacer {
-        id: usize,
-        n: usize,
-        delay: Cycle,
-        acc: u64,
-        log: Vec<(Cycle, u64)>,
-    }
-
-    impl Shard for Pacer {
-        type Msg = u64;
-
-        fn run_window(
-            &mut self,
-            from: Cycle,
-            to: Cycle,
-            inbox: &mut Inbox<u64>,
-            outbox: &mut Outbox<u64>,
-        ) {
-            for now in from..to {
-                while let Some(v) = inbox.pop_due(now) {
-                    self.acc = self.acc.wrapping_mul(31).wrapping_add(v);
-                    self.log.push((now, self.acc));
-                }
-                outbox.send((self.id + 1) % self.n, now + self.delay, self.acc % 103);
-            }
-        }
-    }
-
-    fn make_pacers(n: usize, delay: Cycle) -> Vec<Pacer> {
-        (0..n)
-            .map(|id| Pacer {
-                id,
-                n,
-                delay,
-                acc: id as u64 + 3,
-                log: Vec::new(),
-            })
-            .collect()
-    }
-
-    /// Ring contract for `make_pacers`: successor-only, floor = delay.
-    fn pacer_contract(n: usize, delay: u64) -> HorizonContract {
-        let mut c = HorizonContract::unreachable(n);
-        for id in 0..n {
-            c.allow(id, (id + 1) % n, delay);
-        }
-        c.set_class_floors(vec![delay]);
-        c
-    }
-
-    #[test]
-    fn contract_widening_grows_windows_and_stays_bit_identical() {
-        // Base lookahead 2, contract floor 8: widening amortizes each
-        // barrier over 4x the simulated cycles without changing results,
-        // for every worker count.
-        let mut narrow = ParallelEngine::new(make_pacers(4, 8), 2);
-        narrow.set_contract(pacer_contract(4, 8), |_| 0);
-        assert_eq!(narrow.effective_lookahead(), 2, "widening is opt-in");
-        narrow.run_windowed(400, 1);
-        assert_eq!(narrow.windows(), 200);
-        for workers in [1, 2, 4] {
-            let mut wide = ParallelEngine::new(make_pacers(4, 8), 2);
-            wide.set_contract(pacer_contract(4, 8), |_| 0);
-            assert_eq!(wide.widen_from_contract(), 8);
-            wide.run_windowed(400, workers);
-            assert_eq!(wide.windows(), 50, "{workers} workers");
-            for (a, b) in wide.shards().iter().zip(narrow.shards().iter()) {
-                assert_eq!(a.acc, b.acc, "{workers} workers diverged");
-                assert_eq!(a.log, b.log, "{workers} workers diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn widening_resets_with_the_contract() {
-        let mut eng = ParallelEngine::new(make_pacers(4, 8), 2);
-        assert_eq!(eng.widen_from_contract(), 2, "no contract: base stays");
-        eng.set_contract(pacer_contract(4, 8), |_| 0);
-        assert_eq!(eng.widen_from_contract(), 8);
-        // Installing a different contract discards the old widening.
-        eng.set_contract(pacer_contract(4, 8), |_| 0);
-        assert_eq!(eng.effective_lookahead(), 2);
-        eng.widen_from_contract();
-        eng.clear_contract();
-        assert_eq!(eng.effective_lookahead(), 2);
-    }
-
-    #[test]
-    fn unreachable_contract_widens_to_a_single_window() {
-        // Shards the contract proves fully independent: the whole run is
-        // one window, and the barrier fires exactly once.
-        struct Silent {
-            ticks: u64,
-        }
-        impl Shard for Silent {
-            type Msg = ();
-            fn run_window(
-                &mut self,
-                from: Cycle,
-                to: Cycle,
-                _inbox: &mut Inbox<()>,
-                _outbox: &mut Outbox<()>,
-            ) {
-                self.ticks += to - from;
-            }
-        }
-        let mut eng = ParallelEngine::new(vec![Silent { ticks: 0 }, Silent { ticks: 0 }], 2);
-        eng.set_contract(HorizonContract::unreachable(2), |_| 0);
-        assert_eq!(eng.widen_from_contract(), u64::MAX);
-        eng.run_windowed(10_000, 2);
-        assert_eq!(eng.windows(), 1);
-        assert!(eng.shards().iter().all(|s| s.ticks == 10_000));
     }
 
     #[test]

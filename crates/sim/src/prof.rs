@@ -3,9 +3,9 @@
 //! [`crate::obs`] measures the *simulated chip* (IPC, ring utilization,
 //! memory latency); this module measures the *simulator*: where the host's
 //! wall-clock goes while [`crate::parallel::ParallelEngine::run_windowed`]
-//! drives the shards. It exists because the parallel path's pathologies
-//! (ROADMAP item 1: 4 workers slower than 1 at a 2-cycle lookahead) can
-//! only be attacked measurement-first.
+//! drives the shards. It exists because the multi-worker pathologies the
+//! ROADMAP's parallel-speedup item tracks (4 workers slower than 1 at a
+//! 2-cycle lookahead) can only be attacked measurement-first.
 //!
 //! Accounting model:
 //!
@@ -20,9 +20,8 @@
 //!   caused it. The serial routing section the last arriver runs is
 //!   subtracted from its wait and charged to the route phase instead.
 //! * **Window telemetry** — occupancy (how many shards actually stepped),
-//!   skip ratios, envelope counts/bytes per boundary, barrier-arrival
-//!   spread (first vs last arriver), and inline-vs-parallel path
-//!   attribution.
+//!   skip ratios, envelope counts/bytes per boundary, and barrier-arrival
+//!   spread (first vs last arriver).
 //!
 //! Determinism: profiling is read-only with respect to the simulation.
 //! Every `Instant` read feeds only these host-side accumulators — never a
@@ -36,6 +35,7 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
+use crate::obs::ChromeTrace;
 use crate::stats::{Histogram, Percentiles};
 
 /// Where a slice of host wall-clock went.
@@ -196,7 +196,7 @@ pub struct ShardProfile {
     /// Windows this shard was stepped through.
     pub windows_stepped: u64,
     /// Windows this shard skipped (within-window fast-forwards only;
-    /// whole-run clock jumps are counted as [`ProfileReport::jumps`]).
+    /// whole-run clock jumps are counted as [`Telemetry::jumps`]).
     pub windows_skipped: u64,
 }
 
@@ -279,18 +279,9 @@ pub struct HostSlice {
     pub dur_ns: u64,
 }
 
-/// Wall-clock and window count of one execution path (inline vs parallel).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PathStats {
-    /// Wall-clock nanoseconds spent on this path (calling thread's view).
-    pub ns: u64,
-    /// Window boundaries processed on this path.
-    pub windows: u64,
-}
-
-/// Per-worker scratch the parallel path accumulates lock-free and merges
-/// after the thread scope ends. All counters are plain integers, so the
-/// merge is order-independent.
+/// Per-worker scratch one lane group accumulates lock-free and the
+/// engine merges after the group's loop ends. All counters are plain
+/// integers, so the merge is order-independent.
 #[derive(Debug)]
 pub struct WorkerScratch {
     /// Worker (group) index.
@@ -337,7 +328,8 @@ pub struct Telemetry {
     /// (`count × size_of::<Envelope<Msg>>`).
     pub envelope_bytes: u64,
     /// Barrier-arrival spread per sampled window: nanoseconds between the
-    /// first and last worker reaching the barrier (parallel path only).
+    /// first and last worker reaching the barrier (two or more workers
+    /// only).
     pub spread: Percentiles,
 }
 
@@ -382,8 +374,6 @@ pub struct EngineProfile {
     slices: Vec<HostSlice>,
     slice_head: usize,
     dropped_slices: u64,
-    inline: PathStats,
-    parallel: PathStats,
 }
 
 impl EngineProfile {
@@ -399,8 +389,6 @@ impl EngineProfile {
             slices: Vec::new(),
             slice_head: 0,
             dropped_slices: 0,
-            inline: PathStats::default(),
-            parallel: PathStats::default(),
         }
     }
 
@@ -414,19 +402,9 @@ impl EngineProfile {
         self.epoch
     }
 
-    /// Nanoseconds elapsed since the epoch.
-    pub fn now_ns(&self) -> u64 {
-        ns_of(self.epoch.elapsed())
-    }
-
     /// Window-boundary telemetry recorded so far.
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Window-boundary telemetry (mutable, for the inline path).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
     }
 
     /// Worker `w`'s account, growing the table as needed.
@@ -437,32 +415,19 @@ impl EngineProfile {
         &mut self.workers[w]
     }
 
-    /// Shard `i`'s account.
-    pub fn shard_mut(&mut self, i: usize) -> &mut ShardProfile {
-        &mut self.shards[i]
-    }
-
-    /// Adds wall-clock and windows to the inline path's attribution.
-    pub fn add_inline(&mut self, ns: u64, windows: u64) {
-        self.inline.ns += ns;
-        self.inline.windows += windows;
-    }
-
-    /// Adds wall-clock and windows to the parallel path's attribution.
-    pub fn add_parallel(&mut self, ns: u64, windows: u64) {
-        self.parallel.ns += ns;
-        self.parallel.windows += windows;
-    }
-
-    /// Appends a timeline slice, evicting the oldest past capacity.
+    /// Appends a timeline slice, evicting the oldest past capacity and
+    /// counting every slice evicted or, at zero capacity, not kept.
     pub fn push_slice(&mut self, slice: HostSlice) {
-        if self.slices.len() < self.config.slice_capacity {
+        let capacity = self.config.slice_capacity;
+        if self.slices.len() < capacity {
             self.slices.push(slice);
-        } else if self.config.slice_capacity > 0 {
-            self.slices[self.slice_head] = slice;
-            self.slice_head = (self.slice_head + 1) % self.config.slice_capacity;
-            self.dropped_slices += 1;
+            return;
         }
+        if capacity > 0 {
+            self.slices[self.slice_head] = slice;
+            self.slice_head = (self.slice_head + 1) % capacity;
+        }
+        self.dropped_slices += 1;
     }
 
     /// Folds one worker's scratch into the profile. Integer sums only, so
@@ -482,11 +447,6 @@ impl EngineProfile {
         self.telemetry.merge(t);
     }
 
-    /// Records one barrier-arrival spread sample (nanoseconds).
-    pub fn record_spread(&mut self, ns: u64) {
-        self.telemetry.spread.record(ns as f64);
-    }
-
     /// Snapshots the profile into an exportable report. `obs_ns` starts
     /// at zero — the facade that owns the observability layer fills it.
     pub fn report(&self) -> ProfileReport {
@@ -503,17 +463,11 @@ impl EngineProfile {
                 .collect(),
             workers: self.workers.clone(),
             telemetry: self.telemetry.clone(),
-            inline: self.inline,
-            parallel: self.parallel,
             slices,
             dropped_slices: self.dropped_slices,
             obs_ns: 0,
         }
     }
-}
-
-fn ns_of(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Snapshot of a run's host-side profile: per-shard and per-worker phase
@@ -535,10 +489,6 @@ pub struct ProfileReport {
     pub workers: Vec<WorkerProfile>,
     /// Window-boundary telemetry.
     pub telemetry: Telemetry,
-    /// Inline (workers = 1) path attribution.
-    pub inline: PathStats,
-    /// Parallel path attribution.
-    pub parallel: PathStats,
     /// Sampled host timeline, start-ordered.
     pub slices: Vec<HostSlice>,
     /// Slices evicted by the ring buffer.
@@ -598,19 +548,13 @@ impl ProfileReport {
         let _ = write!(
             out,
             "{{\"sample_every\":{},\"total_ns\":{},\"obs_ns\":{},\
-             \"windows\":{},\"sampled_windows\":{},\"jumps\":{},\
-             \"inline\":{{\"ns\":{},\"windows\":{}}},\
-             \"parallel\":{{\"ns\":{},\"windows\":{}}}",
+             \"windows\":{},\"sampled_windows\":{},\"jumps\":{}",
             self.sample_every,
             self.total_ns(),
             self.obs_ns,
             self.telemetry.windows,
             self.telemetry.sampled_windows,
             self.telemetry.jumps,
-            self.inline.ns,
-            self.inline.windows,
-            self.parallel.ns,
-            self.parallel.windows,
         );
         out.push_str(",\"phases\":{");
         for (i, ph) in HostPhase::ALL.iter().enumerate() {
@@ -733,41 +677,21 @@ impl ProfileReport {
         // Distinct pids from the simulated-chip trace's 1..=6.
         const SHARD_PID: u64 = 100;
         const WORKER_PID: u64 = 101;
-        let mut out = String::with_capacity(64 * self.slices.len() + 512);
-        out.push_str("{\"traceEvents\":[\n");
-        let mut first = true;
-        let mut meta = |out: &mut String, pid: u64, group: &str, tid: u64, name: &str| {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{group}\"}}}},\n\
-                 {{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            );
-        };
+        let mut trace = ChromeTrace::new(64 * self.slices.len() + 512);
         for i in 0..self.shards.len() {
             let name = format!("{} (host)", self.shard_name(i));
-            meta(&mut out, SHARD_PID, "host-shards", i as u64, &name);
+            trace.track(SHARD_PID, "host-shards", i as u64, &name);
         }
         for i in 0..self.workers.len() {
-            let name = format!("worker{i}");
-            meta(&mut out, WORKER_PID, "host-workers", i as u64, &name);
+            trace.track(WORKER_PID, "host-workers", i as u64, &format!("worker{i}"));
         }
         for s in &self.slices {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
             let (pid, tid) = match s.track {
                 HostTrack::Shard(i) => (SHARD_PID, i as u64),
                 HostTrack::Worker(i) => (WORKER_PID, i as u64),
             };
             let _ = write!(
-                out,
+                trace.event(),
                 "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"host\",\"pid\":{pid},\
                  \"tid\":{tid},\"ts\":{},\"dur\":{}}}",
                 s.phase.name(),
@@ -775,12 +699,7 @@ impl ProfileReport {
                 (s.dur_ns / 1_000).max(1),
             );
         }
-        let _ = write!(
-            out,
-            "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{{\"dropped_slices\":{}}}}}\n",
-            self.dropped_slices
-        );
-        out
+        trace.finish("dropped_slices", self.dropped_slices)
     }
 
     /// Writes [`to_json`](Self::to_json) to `path`.
@@ -895,9 +814,8 @@ mod tests {
         t.record_sampled(0, 2, 0);
         t.envelopes_total = 3;
         t.envelope_bytes = 96;
+        t.spread.record(150.0);
         prof.merge_telemetry(&t);
-        prof.record_spread(150);
-        prof.add_parallel(1_000, 4);
         let mut r = prof.report();
         r.obs_ns = 50;
         r
@@ -964,21 +882,28 @@ mod tests {
 
     #[test]
     fn slice_ring_drops_oldest() {
-        let mut cfg = ProfConfig::on();
-        cfg.slice_capacity = 2;
-        let mut prof = EngineProfile::new(cfg, 1);
-        for i in 0..5u64 {
-            prof.push_slice(HostSlice {
-                track: HostTrack::Worker(0),
-                phase: HostPhase::Route,
-                start_ns: i,
-                dur_ns: 1,
-            });
-        }
-        let r = prof.report();
+        let pushed = |capacity: usize| {
+            let mut cfg = ProfConfig::on();
+            cfg.slice_capacity = capacity;
+            let mut prof = EngineProfile::new(cfg, 1);
+            for i in 0..5u64 {
+                prof.push_slice(HostSlice {
+                    track: HostTrack::Worker(0),
+                    phase: HostPhase::Route,
+                    start_ns: i,
+                    dur_ns: 1,
+                });
+            }
+            prof.report()
+        };
+        let r = pushed(2);
         assert_eq!(r.dropped_slices, 3);
         let starts: Vec<u64> = r.slices.iter().map(|s| s.start_ns).collect();
         assert_eq!(starts, vec![3, 4]);
+        // Zero capacity keeps nothing and counts every slice it drops.
+        let r = pushed(0);
+        assert!(r.slices.is_empty());
+        assert_eq!(r.dropped_slices, 5);
     }
 
     #[test]

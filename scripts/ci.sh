@@ -17,6 +17,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings \
     -W clippy::explicit_iter_loop \
     -W clippy::uninlined_format_args
 
+echo "==> cargo doc (rustdoc warnings are errors, so a deleted item cannot"
+echo "    leave a dangling intra-doc link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> cargo build --release"
 cargo build --offline --release --workspace
 

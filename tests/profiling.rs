@@ -18,11 +18,11 @@ use support::{at, check_against_canonical, LOAD, PROF, SKIP, WORKERS};
 const INSTRS: u64 = 300;
 const MAX_CYCLES: u64 = 10_000_000;
 
-/// A small profiled chip on four workers, loaded with two
+/// A small profiled chip on `workers` workers, loaded with two
 /// team-interleaved WordCount threads per core.
-fn loaded() -> SmarcoSystem {
+fn loaded(workers: usize) -> SmarcoSystem {
     let mut cfg = SmarcoConfig::tiny();
-    cfg.workers = 4;
+    cfg.workers = workers;
     cfg.prof = ProfConfig::on();
     let mut sys = SmarcoSystem::builder().config(cfg).build().unwrap();
     let (bench, teams) = (Benchmark::WordCount, (sys.cores_len() * 2) as u64);
@@ -53,7 +53,7 @@ fn profiling_is_result_neutral_on_all_benchmarks() {
 
 #[test]
 fn profile_telemetry_matches_engine_counters() {
-    let mut sys = loaded();
+    let mut sys = loaded(4);
     let r = sys.run(MAX_CYCLES);
     assert!(sys.is_done());
     let report = sys.profile_report().expect("profile present");
@@ -75,11 +75,32 @@ fn profile_telemetry_matches_engine_counters() {
     assert_eq!(report.shard_names.len(), report.shards.len());
     assert!(report.shard_names.iter().any(|n| n == "hub"));
     assert!(report.shard_names.iter().any(|n| n == "sub-ring0"));
-    // With 4 workers the run took the parallel path and measured
-    // barrier-arrival spread.
-    assert_eq!(report.parallel.windows, report.telemetry.windows);
+    // Four workers split the shards into groups that cross every window
+    // in lockstep and measure barrier-arrival spread.
+    assert!(report.workers.len() > 1);
+    for w in &report.workers {
+        assert_eq!(w.windows, report.telemetry.windows);
+    }
     assert!(report.telemetry.spread.count() > 0);
     assert!(r.cycles > 0);
+    // One worker runs the same windows as one group on the calling
+    // thread: one worker account, no spread, and the same telemetry.
+    let mut solo = loaded(1);
+    assert_eq!(solo.run(MAX_CYCLES), r);
+    let one = solo.profile_report().expect("profile present");
+    assert_eq!(one.workers.len(), 1);
+    assert_eq!(one.telemetry.spread.count(), 0);
+    let (a, b) = (&one.telemetry, &report.telemetry);
+    assert_eq!(a.windows, b.windows);
+    assert_eq!(a.sampled_windows, b.sampled_windows);
+    assert_eq!(a.jumps, b.jumps);
+    assert_eq!(a.occupancy, b.occupancy);
+    assert_eq!(a.envelopes_total, b.envelopes_total);
+    assert_eq!(a.envelope_bytes, b.envelope_bytes);
+    for (s, t) in one.shards.iter().zip(&report.shards) {
+        assert_eq!(s.windows_stepped, t.windows_stepped);
+        assert_eq!(s.windows_skipped, t.windows_skipped);
+    }
 }
 
 #[test]
