@@ -95,7 +95,7 @@ pub struct CoreRequest {
 }
 
 /// Aggregated core statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreStats {
     /// Cycles ticked.
     pub cycles: u64,
@@ -406,6 +406,28 @@ impl TcgCore {
                 .is_some_and(|(base, bytes)| (base..base + bytes).contains(&pc))
     }
 
+    /// The compute run thread `t` issues back to back, one instruction per
+    /// cycle with every fetch served by the resident shared segment, so
+    /// [`skip`](Self::skip) can charge it without ticking. 0 unless the
+    /// stream promises a run, the resident segment holds the stream's
+    /// segment, and tracing is off (`InstrRetire` events carry their
+    /// cycle, so a traced core issues cycle by cycle).
+    fn issue_run(&self, t: usize) -> u64 {
+        let run = self.slots[t].compute_run();
+        if run == 0 || self.trace.is_some() || self.iseg_state != IsegState::Resident {
+            return 0;
+        }
+        let covered = match (self.iseg, self.slots[t].segment()) {
+            (Some((base, bytes)), Some((seg, len))) => base <= seg && seg + len <= base + bytes,
+            _ => false,
+        };
+        if covered {
+            run
+        } else {
+            0
+        }
+    }
+
     fn block(&mut self, thread: usize, now: Cycle, spm_fill: Option<(u64, u64)>) {
         self.slots[thread].state = ThreadState::Blocked;
         self.block_info[thread] = Some((now, spm_fill));
@@ -486,8 +508,9 @@ impl TcgCore {
 
     /// Event horizon: the earliest cycle at or after `now` at which the
     /// core can act — hand out retired slots, progress its DMA engine, or
-    /// issue from a runnable pair once its stall window ends. `None` when
-    /// every pair is parked: blocked threads wake only through
+    /// issue from a runnable pair once its stall window ends and its
+    /// compute run (see [`InstructionStream::compute_run`]) is through.
+    /// `None` when every pair is parked: blocked threads wake only through
     /// [`complete`](Self::complete)/[`dma_complete`](Self::dma_complete),
     /// which the owning shard accounts for via its inbox and uncore
     /// horizons.
@@ -507,7 +530,7 @@ impl TcgCore {
                 continue;
             }
             if self.slots[t].state == ThreadState::Runnable {
-                let at = now.max(self.slots[t].stall_until);
+                let at = now.max(self.slots[t].stall_until) + self.issue_run(t);
                 horizon = Some(horizon.map_or(at, |h| h.min(at)));
             }
         }
@@ -515,10 +538,13 @@ impl TcgCore {
     }
 
     /// Fast-forwards the core across `[from, to)`, a range in which
-    /// [`next_event`](Self::next_event) proved no pair can issue. Every
-    /// cycle is charged exactly as [`tick`](Self::tick) would have charged
-    /// it: a stall pair-cycle for runnable-but-stalled pairs, an idle
-    /// pair-cycle otherwise, and one core cycle either way.
+    /// [`next_event`](Self::next_event) proved no pair can do anything but
+    /// wait or issue from its compute run. Every cycle is charged exactly
+    /// as [`tick`](Self::tick) would have charged it: one core cycle; for
+    /// a pair in a compute run, a stall pair-cycle until its stall end and
+    /// then one instruction per cycle, fetched from the shared segment; for
+    /// other runnable-but-stalled pairs a stall pair-cycle, and an idle
+    /// pair-cycle otherwise. O(1) per pair.
     ///
     /// Debug builds re-scan the real thread state — a `next_event`
     /// implementation reporting a too-late horizon panics here instead of
@@ -545,11 +571,25 @@ impl TcgCore {
                 continue;
             }
             if self.slots[t].state == ThreadState::Runnable {
-                debug_assert!(
-                    self.slots[t].stall_until >= to,
-                    "cycle-skipped past thread {t}'s stall end ({} < {to})",
-                    self.slots[t].stall_until
-                );
+                let issue_from = self.slots[t].stall_until.max(from);
+                if issue_from < to {
+                    // Only a compute run issues inside a skipped range.
+                    let n = to - issue_from;
+                    debug_assert!(
+                        n <= self.issue_run(t),
+                        "cycle-skipped past thread {t}'s stall end ({issue_from} < {to}) \
+                         and compute run ({})",
+                        self.issue_run(t)
+                    );
+                    self.stats.stall_pair_cycles += issue_from - from;
+                    self.stats.instructions += n;
+                    self.stats.iseg_fetches += n;
+                    let slot = &mut self.slots[t];
+                    slot.instructions += n;
+                    slot.stall_until = to;
+                    slot.skip_computes(n);
+                    continue;
+                }
                 self.stats.stall_pair_cycles += cycles;
             } else {
                 self.stats.idle_pair_cycles += cycles;
@@ -851,6 +891,7 @@ impl TcgCore {
 mod tests {
     use super::*;
     use smarco_isa::mix::{compute_only, AddressModel, GranularityMix, OpMix, SyntheticStream};
+    use smarco_isa::stream::FnStream;
     use smarco_isa::{Op, ProgramBuilder};
     use smarco_sim::rng::SimRng;
 
@@ -1266,6 +1307,140 @@ mod tests {
             ticked.stats().idle_pair_cycles,
             skipped.stats().idle_pair_cycles
         );
+    }
+
+    /// Threads attached at scripted cycles: compute runs on every pair
+    /// and on friends, pair 2's friend starting its run behind a
+    /// `Compute { latency: 40 }`, two attaches while the shared segment is
+    /// still being prefetched and one into a freed slot once it is
+    /// resident.
+    fn run_issue_script() -> Vec<(Cycle, Box<dyn InstructionStream + Send>)> {
+        let mut stalled = true;
+        let stall_40 = FnStream::new(move || {
+            std::mem::take(&mut stalled).then_some(Op::Compute { latency: 40 })
+        })
+        .with_segment(0, 1024);
+        vec![
+            (0, Box::new(compute_only(700))),
+            (0, Box::new(compute_only(300))),
+            (0, Box::new(stall_40)),
+            (0, Box::new(compute_only(50))),
+            (0, Box::new(compute_only(400))),
+            (0, Box::new(compute_only(20))),
+            (0, Box::new(compute_only(900))),
+            (30, Box::new(compute_only(600))),
+            (45, Box::new(compute_only(5))),
+            (1_200, Box::new(compute_only(800))),
+        ]
+    }
+
+    /// What a [`drive`] did through skips.
+    #[derive(Debug, Default)]
+    struct SkipCharges {
+        /// Instructions charged by `skip` instead of `tick`.
+        instructions: u64,
+        /// Skips in which a pair waited out a stall, then issued its run.
+        stall_then_run: u64,
+    }
+
+    /// Runs the script on `c` until `end`, ticking every cycle or, with
+    /// `by_horizon`, ticking only where `next_event` says the cycle
+    /// matters (attach cycles count as events) and skipping otherwise.
+    fn drive(c: &mut TcgCore, end: Cycle, by_horizon: bool) -> SkipCharges {
+        let mut script = run_issue_script().into_iter().peekable();
+        let mut charges = SkipCharges::default();
+        let mut out = Vec::new();
+        let mut now = 0;
+        while now < end {
+            while let Some((_, stream)) = script.next_if(|&(at, _)| at == now) {
+                c.attach(stream).expect("vacant slot");
+            }
+            let stop = script.peek().map_or(end, |&(at, _)| at.min(end));
+            if by_horizon {
+                let horizon = c.next_event(now);
+                let h = horizon.map_or(stop, |h| h.min(stop));
+                if h > now {
+                    let waits_then_issues = (0..c.pairs.pairs()).any(|p| {
+                        let t = c.pairs.active_thread(p);
+                        t < c.slots.len()
+                            && c.slots[t].state == ThreadState::Runnable
+                            && c.issue_run(t) > 0
+                            && (now + 1..h).contains(&c.slots[t].stall_until)
+                    });
+                    let before = c.stats.instructions;
+                    c.skip(now, h);
+                    // The engine caches horizons across skips, so a skip
+                    // must leave the horizon where it was.
+                    assert_eq!(
+                        c.next_event(h),
+                        horizon,
+                        "horizon moved across [{now}, {h})"
+                    );
+                    charges.instructions += c.stats.instructions - before;
+                    charges.stall_then_run += u64::from(waits_then_issues);
+                    now = h;
+                    continue;
+                }
+            }
+            c.tick(now, &mut out);
+            let _ = c.take_retired();
+            now += 1;
+        }
+        assert!(out.is_empty(), "compute-only threads emitted requests");
+        charges
+    }
+
+    fn drain(mut stream: Box<dyn InstructionStream + Send>) -> Vec<smarco_isa::Instr> {
+        std::iter::from_fn(|| stream.next_instr()).collect()
+    }
+
+    #[test]
+    fn run_issue_matches_per_cycle_issue() {
+        let traced = |mut c: TcgCore| {
+            c.enable_trace(TraceConfig {
+                capacity: 1 << 16,
+                retire_sample: 16,
+            });
+            c
+        };
+        // Mid-prefetch, mid-run with the friends waiting, mid-run after
+        // the late attach, and drained.
+        for end in [60, 700, 1_500, 5_000] {
+            for trace in [false, true] {
+                let mk = || if trace { traced(core()) } else { core() };
+                let (mut ticked, mut skipped) = (mk(), mk());
+                drive(&mut ticked, end, false);
+                let charges = drive(&mut skipped, end, true);
+                let at = format!("end {end}, tracing {trace}");
+                assert_eq!(ticked.stats(), skipped.stats(), "{at}");
+                assert_eq!(ticked.trace, skipped.trace, "{at}");
+                if trace {
+                    assert_eq!(charges.instructions, 0, "a traced core skipped issue: {at}");
+                } else if end >= 700 {
+                    assert!(
+                        charges.instructions * 10 >= skipped.stats().instructions * 9,
+                        "run issue charged {charges:?} of {} instructions: {at}",
+                        skipped.stats().instructions
+                    );
+                    assert!(charges.stall_then_run > 0, "{at}");
+                }
+                for (a, b) in ticked.slots.iter().zip(&skipped.slots) {
+                    assert_eq!(
+                        (a.state, a.stall_until, a.instructions, a.compute_run()),
+                        (b.state, b.stall_until, b.instructions, b.compute_run()),
+                        "{at}"
+                    );
+                }
+                // Kill both mid-run: the ripped-out streams must continue
+                // identically.
+                let (a, b) = (ticked.fail(), skipped.fail());
+                assert_eq!(a.len(), b.len(), "{at}");
+                for ((ia, sa), (ib, sb)) in a.into_iter().zip(b) {
+                    assert_eq!(ia, ib, "{at}");
+                    assert_eq!(drain(sa), drain(sb), "slot {ia} at {at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,10 @@ pub struct ThreadSlot {
     pub pending_dma: usize,
     /// Dynamic instructions issued.
     pub instructions: u64,
+    /// What is left of the stream's compute run (see
+    /// [`InstructionStream::compute_run`]): asked once at attach and
+    /// counted down by every instruction taken since.
+    run: u64,
 }
 
 impl std::fmt::Debug for ThreadSlot {
@@ -45,6 +49,7 @@ impl std::fmt::Debug for ThreadSlot {
             .field("state", &self.state)
             .field("stall_until", &self.stall_until)
             .field("instructions", &self.instructions)
+            .field("run", &self.run)
             .finish()
     }
 }
@@ -64,11 +69,13 @@ impl ThreadSlot {
             stall_until: 0,
             pending_dma: 0,
             instructions: 0,
+            run: 0,
         }
     }
 
     /// Attaches a stream, making the slot runnable.
     pub fn attach(&mut self, stream: Box<dyn InstructionStream + Send>) {
+        self.run = stream.compute_run();
         self.stream = Some(stream);
         self.state = ThreadState::Runnable;
         self.stall_until = 0;
@@ -84,9 +91,30 @@ impl ThreadSlot {
 
     /// Fetches the next instruction; `None` ends the thread.
     pub fn next_instr(&mut self) -> Option<smarco_isa::Instr> {
+        self.run = self.run.saturating_sub(1);
         self.stream
             .as_mut()
             .and_then(smarco_isa::InstructionStream::next_instr)
+    }
+
+    /// How many of the next instructions form the stream's compute run:
+    /// single-cycle computes with PCs in the stream's segment.
+    pub fn compute_run(&self) -> u64 {
+        self.run
+    }
+
+    /// Takes `n` instructions of the compute run at once, exactly as `n`
+    /// calls of [`next_instr`](Self::next_instr) would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds [`compute_run`](Self::compute_run).
+    pub fn skip_computes(&mut self, n: u64) {
+        assert!(n <= self.run, "skipped {n} computes of a {} run", self.run);
+        self.run -= n;
+        if let Some(stream) = self.stream.as_mut() {
+            stream.skip_computes(n);
+        }
     }
 
     /// Whether the slot holds live work (not done/vacant).
@@ -304,5 +332,21 @@ mod tests {
         assert!(s.is_live());
         assert!(s.next_instr().is_some());
         assert_eq!(s.state, ThreadState::Runnable);
+    }
+
+    #[test]
+    fn slot_counts_its_compute_run_down() {
+        let mut s = ThreadSlot::vacant();
+        s.attach(Box::new(compute_only(10)));
+        assert_eq!(s.compute_run(), 10);
+        assert!(s.next_instr().is_some());
+        s.skip_computes(6);
+        assert_eq!(s.compute_run(), 3);
+        let rest: Vec<_> = std::iter::from_fn(|| s.next_instr()).collect();
+        assert_eq!(rest.len(), 4, "three computes and the exit");
+        assert_eq!(s.compute_run(), 0);
+        s.state = ThreadState::Runnable;
+        assert!(s.take_stream().is_some());
+        assert_eq!(s.compute_run(), 0, "a vacant slot has no run");
     }
 }

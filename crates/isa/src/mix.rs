@@ -10,7 +10,7 @@
 use smarco_sim::rng::SimRng;
 
 use crate::op::{MemRef, Op, Priority};
-use crate::stream::{FnStream, InstructionStream};
+use crate::stream::InstructionStream;
 
 /// Access-size distribution over power-of-two widths (1–64 bytes).
 ///
@@ -316,19 +316,73 @@ pub fn boxed_synthetic(
     Box::new(SyntheticStream::new(mix, instructions, rng))
 }
 
-/// Builds a simple closure stream emitting `n` compute ops (testing aid).
-/// The stream loops in a 1 KB instruction segment, as real kernels do.
-pub fn compute_only(n: u64) -> FnStream<impl FnMut() -> Option<Op>> {
-    let mut left = n;
-    FnStream::new(move || {
-        if left == 0 {
-            None
-        } else {
-            left -= 1;
-            Some(Op::compute())
+/// The instruction segment a [`ComputeOnly`] stream loops in: 1 KB at 0.
+const COMPUTE_ONLY_SEGMENT: (u64, u64) = (0, 1024);
+
+/// `n` single-cycle computes followed by `Exit`, with PCs looping in a
+/// 1 KB instruction segment, as real kernels do. The whole remainder
+/// before `Exit` is one compute run, so a core with the segment resident
+/// charges it without ticking (see [`InstructionStream::compute_run`]).
+#[derive(Debug, Clone)]
+pub struct ComputeOnly {
+    left: u64,
+    pc: u64,
+    exited: bool,
+}
+
+impl InstructionStream for ComputeOnly {
+    fn next_instr(&mut self) -> Option<crate::op::Instr> {
+        if self.exited {
+            return None;
         }
-    })
-    .with_segment(0, 1024)
+        let op = if self.left == 0 {
+            self.exited = true;
+            Op::Exit
+        } else {
+            self.left -= 1;
+            Op::compute()
+        };
+        let pc = self.pc;
+        self.skip_pcs(1);
+        Some(crate::op::Instr { pc, op })
+    }
+
+    fn segment(&self) -> Option<(u64, u64)> {
+        Some(COMPUTE_ONLY_SEGMENT)
+    }
+
+    fn compute_run(&self) -> u64 {
+        self.left
+    }
+
+    fn skip_computes(&mut self, n: u64) {
+        assert!(
+            n <= self.left,
+            "skipped {n} computes of a {} run",
+            self.left
+        );
+        self.left -= n;
+        self.skip_pcs(n);
+    }
+}
+
+impl ComputeOnly {
+    /// Advances the PC by `n` instructions, wrapping in the segment.
+    fn skip_pcs(&mut self, n: u64) {
+        let (base, bytes) = COMPUTE_ONLY_SEGMENT;
+        let step = n % (bytes / crate::op::INSTR_BYTES) * crate::op::INSTR_BYTES;
+        self.pc = base + (self.pc - base + step) % bytes;
+    }
+}
+
+/// A [`ComputeOnly`] stream of `n` compute ops (testing aid, and the
+/// rack's request body).
+pub fn compute_only(n: u64) -> ComputeOnly {
+    ComputeOnly {
+        left: n,
+        pc: COMPUTE_ONLY_SEGMENT.0,
+        exited: false,
+    }
 }
 
 #[cfg(test)]
@@ -463,5 +517,71 @@ mod tests {
         assert_eq!(s.next_instr().unwrap().op, Op::compute());
         assert_eq!(s.next_instr().unwrap().op, Op::Exit);
         assert_eq!(s.next_instr(), None);
+    }
+
+    fn drain_instrs(s: &mut impl InstructionStream) -> Vec<crate::op::Instr> {
+        std::iter::from_fn(|| s.next_instr()).collect()
+    }
+
+    /// The closure stream `compute_only` returned before it became a
+    /// named type: the reference for its op and PC sequence.
+    fn closure_compute_only(n: u64) -> impl InstructionStream {
+        let mut left = n;
+        crate::stream::FnStream::new(move || {
+            if left == 0 {
+                None
+            } else {
+                left -= 1;
+                Some(Op::compute())
+            }
+        })
+        .with_segment(0, 1024)
+    }
+
+    #[test]
+    fn compute_only_keeps_the_closure_streams_sequence() {
+        for n in [0, 1, 255, 256, 257, 5000] {
+            let mut s = compute_only(n);
+            assert_eq!(s.segment(), Some((0, 1024)));
+            assert_eq!(s.compute_run(), n);
+            let got = drain_instrs(&mut s);
+            assert_eq!(got, drain_instrs(&mut closure_compute_only(n)), "n = {n}");
+            assert_eq!(s.compute_run(), 0);
+        }
+    }
+
+    #[test]
+    fn skip_computes_matches_calling_next_instr() {
+        // Runs that end before, at and across the 1 KB (256-instruction)
+        // wrap, skipped in one piece or in two.
+        for (len, skips) in [
+            (300, &[0][..]),
+            (300, &[1]),
+            (300, &[255]),
+            (300, &[256]),
+            (300, &[257]),
+            (300, &[300]),
+            (5000, &[1023, 2000]),
+            (5000, &[256, 256]),
+        ] {
+            let mut skipped = compute_only(len);
+            let mut stepped = compute_only(len);
+            for &n in skips {
+                skipped.skip_computes(n);
+                for _ in 0..n {
+                    assert_eq!(stepped.next_instr().map(|i| i.op), Some(Op::compute()));
+                }
+                assert_eq!(skipped.compute_run(), stepped.compute_run());
+            }
+            let (a, b) = (drain_instrs(&mut skipped), drain_instrs(&mut stepped));
+            assert_eq!(a, b, "len {len}, skips {skips:?}");
+            assert_eq!(a.last().map(|i| i.op), Some(Op::Exit));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "skipped 4 computes of a 3 run")]
+    fn skipping_past_the_run_is_refused() {
+        compute_only(3).skip_computes(4);
     }
 }

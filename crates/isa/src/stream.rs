@@ -18,6 +18,29 @@ pub trait InstructionStream {
     fn segment(&self) -> Option<(u64, u64)> {
         None
     }
+
+    /// How many of the next instructions are certain to be
+    /// `Op::Compute { latency: 1 }` with PCs inside [`segment`](Self::segment):
+    /// a *compute run*, which a core whose shared instruction segment
+    /// holds that segment issues one per cycle and can charge in one step.
+    /// The default, 0, promises nothing and keeps the core issuing cycle
+    /// by cycle; that is always exact, only slower.
+    ///
+    /// A wrapper stream that does not forward this method and
+    /// [`skip_computes`](Self::skip_computes) stays exact but loses the
+    /// fast path.
+    fn compute_run(&self) -> u64 {
+        0
+    }
+
+    /// Consumes `n` instructions of the current compute run, leaving the
+    /// stream exactly as `n` calls of [`next_instr`](Self::next_instr)
+    /// would. Callers keep `n` within [`compute_run`](Self::compute_run).
+    fn skip_computes(&mut self, n: u64) {
+        for _ in 0..n {
+            let _ = self.next_instr();
+        }
+    }
 }
 
 impl<S: InstructionStream + ?Sized> InstructionStream for Box<S> {
@@ -26,6 +49,12 @@ impl<S: InstructionStream + ?Sized> InstructionStream for Box<S> {
     }
     fn segment(&self) -> Option<(u64, u64)> {
         (**self).segment()
+    }
+    fn compute_run(&self) -> u64 {
+        (**self).compute_run()
+    }
+    fn skip_computes(&mut self, n: u64) {
+        (**self).skip_computes(n);
     }
 }
 
@@ -181,6 +210,19 @@ mod tests {
             Box::new(FnStream::new(|| Some(Op::compute())).with_segment(0, 4));
         assert!(b.next_instr().is_some());
         assert_eq!(b.segment(), Some((0, 4)));
+        assert_eq!(b.compute_run(), 0, "a closure stream promises no run");
+        let mut b: Box<dyn InstructionStream> = Box::new(crate::mix::compute_only(5));
+        assert_eq!(b.compute_run(), 5);
+        b.skip_computes(3);
+        assert_eq!(b.compute_run(), 2);
+        assert_eq!(b.next_instr().map(|i| i.pc), Some(12));
+    }
+
+    #[test]
+    fn default_skip_computes_calls_next_instr() {
+        let mut s = FnStream::new(|| Some(Op::compute())).with_segment(0x400, 8);
+        s.skip_computes(3);
+        assert_eq!(s.next_instr().map(|i| i.pc), Some(0x404));
     }
 
     #[test]

@@ -318,15 +318,13 @@ impl<M> Exchange<M> {
 
     /// Post-run sweep: deliver everything still parked in the matrix
     /// (the final window's publishes were never drained) so a later run
-    /// with any worker count sees it. Single-threaded by construction.
+    /// with any worker count sees it. It runs after every group has
+    /// joined, so a clear flag proves its slot empty (`publish` sets the
+    /// flag after pushing, and a drain clears it only to take the
+    /// envelopes) and only flagged slots are locked.
     fn drain_all(&self, inboxes: &mut [Inbox<M>]) {
         for (to, inbox) in inboxes.iter_mut().enumerate() {
-            for from in 0..self.n {
-                let slot = &self.slots[to * self.n + from].0;
-                slot.nonempty.store(false, MemOrder::Relaxed);
-                let mut guard = slot.envelopes.lock().expect("mail slot lock");
-                inbox.push_all(guard.drain(..));
-            }
+            self.drain_row(to, inbox);
         }
     }
 }
@@ -532,13 +530,18 @@ fn ns_between(epoch: Instant, t: Instant) -> u64 {
 /// zero and every check yields. The arrival and generation counters live
 /// on separate padded lines so arrivers incrementing one don't invalidate
 /// the line every waiter is polling. The last party to arrive runs a
-/// serial section (the horizon fold) before releasing the others.
+/// serial section (the horizon fold) before releasing the others. A party
+/// that panics poisons the barrier, and waiters leave instead of spinning
+/// for an arrival that will never come.
 struct SpinBarrier {
     parties: usize,
     /// Spins between yields while waiting; 0 means yield on every check.
     spins_per_yield: u32,
     arrived: CachePadded<AtomicUsize>,
     generation: CachePadded<AtomicUsize>,
+    /// Relaxed: the flag publishes no data, and the panic payload
+    /// reaches the caller through the join.
+    poisoned: AtomicBool,
 }
 
 impl SpinBarrier {
@@ -572,11 +575,14 @@ impl SpinBarrier {
             spins_per_yield: Self::spin_budget(parties, host_cpus),
             arrived: CachePadded(AtomicUsize::new(0)),
             generation: CachePadded(AtomicUsize::new(0)),
+            poisoned: AtomicBool::new(false),
         }
     }
 
     /// Blocks until all parties arrive; the last runs `serial` first.
-    fn wait_with(&self, serial: impl FnOnce()) {
+    /// Returns `false` instead when the barrier is poisoned: a party
+    /// unwound and will never arrive.
+    fn wait_with(&self, serial: impl FnOnce()) -> bool {
         let generation = self.generation.0.load(MemOrder::Acquire);
         if self.arrived.0.fetch_add(1, MemOrder::AcqRel) + 1 == self.parties {
             serial();
@@ -587,6 +593,9 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.generation.0.load(MemOrder::Acquire) == generation {
+                if self.poisoned.load(MemOrder::Relaxed) {
+                    return false;
+                }
                 if spins >= self.spins_per_yield {
                     spins = 0;
                     std::thread::yield_now();
@@ -595,6 +604,19 @@ impl SpinBarrier {
                     std::hint::spin_loop();
                 }
             }
+        }
+        true
+    }
+}
+
+/// Poisons the window barrier when its lane group unwinds, so the other
+/// groups stop waiting for it and the run fails with the group's panic.
+struct PoisonOnUnwind<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, MemOrder::Relaxed);
         }
     }
 }
@@ -653,8 +675,14 @@ impl<M> WindowLoop<'_, M> {
     /// or skip every lane, fold the group's horizon, meet the other
     /// groups at the barrier, and jump the clock to the agreed next
     /// window start. The engine runs it on the calling thread when there
-    /// is one group and on scoped threads otherwise.
-    fn run_group<S: Shard<Msg = M>>(&self, w: usize, group: &mut [Lane<'_, S>]) -> GroupRun {
+    /// is one group and on scoped threads otherwise. `None` means another
+    /// group panicked and this one left the poisoned barrier mid-run.
+    fn run_group<S: Shard<Msg = M>>(
+        &self,
+        w: usize,
+        group: &mut [Lane<'_, S>],
+    ) -> Option<GroupRun> {
+        let _poison = PoisonOnUnwind(&self.barrier);
         let epoch = self.epoch;
         let timed = epoch.is_some();
         let t_busy = epoch.map(|_| Instant::now());
@@ -706,8 +734,12 @@ impl<M> WindowLoop<'_, M> {
                 }
             }
             let mut serial_ns = 0u64;
-            self.barrier
-                .wait_with(|| serial_ns = self.close_window(to, sampled, t_arrive));
+            if !self
+                .barrier
+                .wait_with(|| serial_ns = self.close_window(to, sampled, t_arrive))
+            {
+                return None;
+            }
             if let (Some(epoch), Some(scratch), Some(t0)) = (epoch, scratch.as_mut(), t_arrive) {
                 let total = ns_since(t0);
                 let wait = total.saturating_sub(serial_ns);
@@ -749,12 +781,12 @@ impl<M> WindowLoop<'_, M> {
         if let (Some(scratch), Some(t0)) = (scratch.as_mut(), t_busy) {
             scratch.prof.busy_ns = ns_since(t0);
         }
-        GroupRun {
+        Some(GroupRun {
             stepped,
             skipped,
             windows: win,
             scratch,
-        }
+        })
     }
 
     /// One lane's window: drain its mailbox row into the inbox, then
@@ -1143,7 +1175,8 @@ impl<S: Shard> ParallelEngine<S> {
             }
         };
         if groups == 1 {
-            absorb(window_loop.run_group(0, &mut lanes));
+            // A lone party never waits, so its barrier is never poisoned.
+            absorb(window_loop.run_group(0, &mut lanes).expect("lone group"));
         } else {
             std::thread::scope(|scope| {
                 let window_loop = &window_loop;
@@ -1153,13 +1186,15 @@ impl<S: Shard> ParallelEngine<S> {
                     .map(|(w, group)| scope.spawn(move || window_loop.run_group(w, group)))
                     .collect();
                 // Joined in worker order, so the profile merge order is
-                // independent of thread finish order.
+                // independent of thread finish order. A group that left a
+                // poisoned barrier returns `None`; the group that panicked
+                // returns its payload, which the run re-raises.
                 for handle in handles {
-                    absorb(
-                        handle
-                            .join()
-                            .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-                    );
+                    match handle.join() {
+                        Ok(Some(run)) => absorb(run),
+                        Ok(None) => {}
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
                 }
             });
         }
@@ -1926,6 +1961,48 @@ mod tests {
     fn contract_shard_count_is_checked() {
         let mut eng = ParallelEngine::new(make_ring(4), 4);
         eng.set_contract(HorizonContract::unreachable(5), |_| 0);
+    }
+
+    #[test]
+    fn a_panicking_group_fails_the_run_instead_of_hanging_it() {
+        struct Faulty(usize);
+        impl Shard for Faulty {
+            type Msg = ();
+            fn run_window(
+                &mut self,
+                from: Cycle,
+                to: Cycle,
+                _: &mut Inbox<()>,
+                _: &mut Outbox<()>,
+            ) {
+                assert!(
+                    self.0 != 1 || !(from..to).contains(&6),
+                    "shard 1 fails at cycle 6"
+                );
+            }
+        }
+        // On a helper thread, so a hang fails the test instead of
+        // blocking it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let mut engine = ParallelEngine::new(vec![Faulty(0), Faulty(1)], 2);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.run_windowed(100, 2);
+            }));
+            let message = result.err().map(|payload| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("run_windowed hung after a worker panicked");
+        helper.join().expect("helper thread");
+        assert_eq!(message.as_deref(), Some("shard 1 fails at cycle 6"));
     }
 
     #[test]
