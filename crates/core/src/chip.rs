@@ -808,7 +808,9 @@ impl SmarcoSystem {
     /// The advance pauses at metric-window boundaries so windows close
     /// exactly on their nominal edge. Thanks to absolute message
     /// timestamps, the pause schedule never changes the simulation's
-    /// state evolution.
+    /// state evolution. After each engine run every sub-ring settles its
+    /// sleeping cores ([`SubShard::settle_cores`]), so reports, metric
+    /// windows and [`core`](Self::core) read settled statistics.
     pub fn advance_until(&mut self, stop: Cycle) {
         while self.engine.now() < stop {
             let now = self.engine.now();
@@ -820,8 +822,13 @@ impl SmarcoSystem {
                 }
             }
             self.engine.run_windowed(to - now, self.workers);
-            self.sync_obs();
             let reached = self.engine.now();
+            for shard in self.engine.shards_mut() {
+                if let Some(s) = shard.as_sub_mut() {
+                    s.settle_cores(reached);
+                }
+            }
+            self.sync_obs();
             while self.metrics.as_ref().is_some_and(|r| r.due(reached)) {
                 self.close_metrics_window(reached);
             }

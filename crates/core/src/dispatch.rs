@@ -139,10 +139,11 @@ impl SubDispatcher {
     /// Event horizon: the earliest cycle at or after `now` the dispatcher
     /// can act, given whether any local core currently has a vacant slot.
     /// Collection of retirees is covered by the cores' own horizons (a
-    /// retired thread makes its core report `Some(now)`), so this only
+    /// core whose tick retired a thread reports the next cycle, when the
+    /// shard hands its slots to [`collect`](Self::collect)), so this only
     /// models the dispatch side: pending tasks plus a vacancy wait for the
-    /// chain-table pipeline (`ready_at`); otherwise the dispatcher is
-    /// event-driven and an idle [`tick`](Self::tick) mutates nothing.
+    /// chain-table pipeline (`ready_at`); otherwise
+    /// [`dispatch`](Self::dispatch) returns `None` and mutates nothing.
     pub fn next_event(&self, now: Cycle, vacancy: bool) -> Option<Cycle> {
         if self.sched.pending() > 0 && vacancy {
             Some(now.max(self.ready_at))
@@ -193,56 +194,74 @@ impl SubDispatcher {
         (redispatched, lost)
     }
 
-    /// One cycle of dispatcher work over this sub-ring's cores: consume
-    /// exit signals into `exits`, then bind at most one task to a vacant
-    /// slot (the chain-table walk costs dispatch cycles).
-    pub fn tick(&mut self, cores: &mut [TcgCore], now: Cycle, exits: &mut Vec<ExitSignal>) {
-        // Completions.
-        for (c, core) in cores.iter_mut().enumerate() {
-            for slot in core.take_retired() {
-                if let Some((task, work)) = self.dispatched.remove(&(c, slot)) {
-                    let deadline = self.deadlines.remove(&task).unwrap_or(Cycle::MAX);
-                    if let Some(buf) = self.trace.as_mut() {
-                        buf.emit(
-                            now,
-                            EventKind::TaskExit {
-                                task,
-                                deadline_met: now <= deadline,
-                            },
-                        );
-                    }
-                    exits.push(ExitSignal {
-                        task,
-                        exit: now,
-                        deadline,
-                        work,
-                    });
-                }
-            }
-        }
-        // Dispatch.
-        if now < self.ready_at || self.sched.pending() == 0 {
-            return;
-        }
-        let Some(core_idx) = (0..cores.len()).find(|&c| cores[c].has_vacancy()) else {
-            return;
-        };
-        if let Some(task) = self.sched.dispatch(now) {
-            self.ready_at = now + self.sched.overhead();
-            let stream = self.pending.remove(&task.id).expect("stream pending");
-            let slot = cores[core_idx].attach(stream).expect("vacancy checked");
+    /// Records the exits of local core `core`'s threads `slots`, which
+    /// retired before `now`: each dispatched task's exit signal goes into
+    /// `exits`. Threads attached directly, not by the dispatcher, leave no
+    /// signal.
+    pub fn collect(
+        &mut self,
+        core: usize,
+        slots: Vec<usize>,
+        now: Cycle,
+        exits: &mut Vec<ExitSignal>,
+    ) {
+        for slot in slots {
+            let Some((task, work)) = self.dispatched.remove(&(core, slot)) else {
+                continue;
+            };
+            let deadline = self.deadlines.remove(&task).unwrap_or(Cycle::MAX);
             if let Some(buf) = self.trace.as_mut() {
                 buf.emit(
                     now,
-                    EventKind::TaskDispatch {
-                        task: task.id,
-                        laxity: task.laxity(now),
-                        queued: self.sched.pending() as u64,
+                    EventKind::TaskExit {
+                        task,
+                        deadline_met: now <= deadline,
                     },
                 );
             }
-            self.dispatched
-                .insert((core_idx, slot), (task.id, task.work));
+            exits.push(ExitSignal {
+                task,
+                exit: now,
+                deadline,
+                work,
+            });
         }
+    }
+
+    /// The task the chain table dispatches at `now`, with its stream and
+    /// the first local core with a vacant slot: `None` while the
+    /// chain-table walk of the previous dispatch is still running, when
+    /// nothing is queued, or when no core has a vacancy. The caller
+    /// attaches the stream to that core and reports the slot through
+    /// [`bind`](Self::bind).
+    pub fn dispatch(
+        &mut self,
+        cores: &[TcgCore],
+        now: Cycle,
+    ) -> Option<(usize, Task, Box<dyn InstructionStream + Send>)> {
+        if now < self.ready_at || self.sched.pending() == 0 {
+            return None;
+        }
+        let core = cores.iter().position(TcgCore::has_vacancy)?;
+        let task = self.sched.dispatch(now)?;
+        self.ready_at = now + self.sched.overhead();
+        let stream = self.pending.remove(&task.id).expect("stream pending");
+        Some((core, task, stream))
+    }
+
+    /// Records that `task`, dispatched at `now`, runs on local core
+    /// `core`'s thread `slot`.
+    pub fn bind(&mut self, core: usize, slot: usize, task: &Task, now: Cycle) {
+        if let Some(buf) = self.trace.as_mut() {
+            buf.emit(
+                now,
+                EventKind::TaskDispatch {
+                    task: task.id,
+                    laxity: task.laxity(now),
+                    queued: self.sched.pending() as u64,
+                },
+            );
+        }
+        self.dispatched.insert((core, slot), (task.id, task.work));
     }
 }

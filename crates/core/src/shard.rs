@@ -196,9 +196,23 @@ pub struct SubShard {
     channels: usize,
     mact_on: bool,
     /// Whether cycle skipping is on, which lets an idle sub-ring go
-    /// unticked (see [`tick_noc`]).
+    /// unticked (see [`tick_noc`]) and a stepped one tick only its due
+    /// cores.
     cycle_skip: bool,
     cores: Vec<TcgCore>,
+    /// Per core: the cycle it next ticks at, its cached
+    /// [`TcgCore::next_event`] (`Cycle::MAX` for none).
+    wake: Vec<Cycle>,
+    /// Per core: the cycle up to which its statistics are charged. A core
+    /// sleeping until its wake cycle lags behind the shard until it
+    /// ticks, is mutated, or [`settle_cores`](Self::settle_cores) runs.
+    settled: Vec<Cycle>,
+    /// Cores whose last tick retired a thread, for the dispatcher to
+    /// collect next cycle.
+    retiring: Vec<usize>,
+    /// Per core: ticks so far, for tests of the wake set.
+    #[cfg(test)]
+    ticks: Vec<u64>,
     noc: Box<dyn NocBackend<ChipPayload>>,
     mact: Mact,
     dispatcher: SubDispatcher,
@@ -245,7 +259,7 @@ impl SubShard {
     pub fn new(sr: usize, config: &SmarcoConfig, space: AddressSpace) -> Self {
         let cps = config.noc.cores_per_subring;
         let n_shards = (config.noc.subrings + 1) as u64;
-        let cores = (sr * cps..(sr + 1) * cps)
+        let cores: Vec<TcgCore> = (sr * cps..(sr + 1) * cps)
             .map(|i| TcgCore::new(i, config.tcg, space))
             .collect();
         let plan = config.fault.clone().unwrap_or_else(FaultPlan::none);
@@ -260,6 +274,11 @@ impl SubShard {
             channels: config.dram.channels,
             mact_on: config.mact.is_some(),
             cycle_skip: config.cycle_skip,
+            wake: vec![Cycle::MAX; cores.len()],
+            settled: vec![0; cores.len()],
+            retiring: Vec::new(),
+            #[cfg(test)]
+            ticks: vec![0; cores.len()],
             cores,
             noc: build_sub_backend(&config.noc, sr),
             mact,
@@ -300,9 +319,40 @@ impl SubShard {
         &self.cores
     }
 
-    /// Mutable view of the shard's cores.
+    /// Mutable view of the shard's cores, between runs. Every core wakes,
+    /// since the caller may change any of them.
     pub fn cores_mut(&mut self) -> &mut [TcgCore] {
+        self.wake.copy_from_slice(&self.settled);
         &mut self.cores
+    }
+
+    /// Charges every core's lag up to `now`, so that its statistics are
+    /// read settled. The chip calls it after each engine run; cores keep
+    /// their wake cycles.
+    pub fn settle_cores(&mut self, now: Cycle) {
+        for local in 0..self.cores.len() {
+            self.settle(local, now);
+        }
+    }
+
+    /// Charges local core `local`'s lag up to cycle `at`.
+    fn settle(&mut self, local: usize, at: Cycle) {
+        let settled = self.settled[local];
+        if settled < at {
+            self.cores[local].skip(settled, at);
+            self.settled[local] = at;
+        }
+    }
+
+    /// Settles local core `local` to cycle `at` and makes it tick there:
+    /// the step every mutation of a core goes through, since a mutation
+    /// changes how the cycles it slept through are charged. Inside
+    /// [`step`](Self::step) every mutation comes before the tick loop: a
+    /// request the loop routes reaches no core in the same cycle.
+    fn wake(&mut self, local: usize, at: Cycle) -> &mut TcgCore {
+        self.settle(local, at);
+        self.wake[local] = at;
+        &mut self.cores[local]
     }
 
     /// The junction's MACT.
@@ -340,7 +390,8 @@ impl SubShard {
         self.dispatcher.enqueue(task, stream, now);
     }
 
-    /// Attaches a stream to local core `local`.
+    /// Attaches a stream to local core `local`, between runs, when every
+    /// core is settled: the core wakes at the cycle it is settled to.
     ///
     /// # Errors
     ///
@@ -350,7 +401,8 @@ impl SubShard {
         local: usize,
         stream: Box<dyn smarco_isa::InstructionStream + Send>,
     ) -> Result<usize, CoreFull> {
-        self.cores[local].attach(stream)
+        let at = self.settled[local];
+        self.wake(local, at).attach(stream)
     }
 
     /// Starts staging latency samples for the facade's metrics recorder.
@@ -373,9 +425,11 @@ impl SubShard {
         self.noc.payload_utilization()
     }
 
-    /// Turns event tracing on across the shard's components.
+    /// Turns event tracing on across the shard's components, between
+    /// runs. Every core wakes: a traced core issues its compute runs cycle
+    /// by cycle.
     pub fn enable_trace(&mut self, cfg: TraceConfig) {
-        for core in &mut self.cores {
+        for core in self.cores_mut() {
             core.enable_trace(cfg);
         }
         self.noc.enable_trace();
@@ -673,7 +727,7 @@ impl SubShard {
                 if let RequestKind::DmaPull { fill, .. } = ucr.kind {
                     let local = self.local_pos(c);
                     if self.cores[local].is_alive() {
-                        self.cores[local].dma_complete(ucr.thread, fill);
+                        self.wake(local, now).dma_complete(ucr.thread, fill);
                     } else {
                         self.degradation.dropped_replies += 1;
                     }
@@ -699,7 +753,7 @@ impl SubShard {
             if self.collect_latency {
                 self.lat_samples.push(lat);
             }
-            self.cores[local].complete(thread, now);
+            self.wake(local, now).complete(thread, now);
         }
     }
 
@@ -717,7 +771,7 @@ impl SubShard {
             if !self.cores[local].is_alive() {
                 continue;
             }
-            let streams = self.cores[local].fail();
+            let streams = self.wake(local, now).fail();
             self.degradation.quarantined_cores += 1;
             let (redispatched, lost) = self.dispatcher.fail_core(local, now, streams);
             self.degradation.redispatches += redispatched;
@@ -750,10 +804,23 @@ impl SubShard {
                 }
             }
         }
-        // 3. The sub-dispatcher binds ready tasks to freed slots; exits
-        //    head for the main scheduler.
+        // 3. The sub-dispatcher collects the threads that retired last
+        //    cycle and binds a ready task to a freed slot; exits head for
+        //    the main scheduler.
         let mut exits = std::mem::take(&mut self.exit_buf);
-        self.dispatcher.tick(&mut self.cores, now, &mut exits);
+        for k in 0..self.retiring.len() {
+            let local = self.retiring[k];
+            let slots = self.cores[local].take_retired();
+            self.dispatcher.collect(local, slots, now, &mut exits);
+        }
+        self.retiring.clear();
+        if let Some((local, task, stream)) = self.dispatcher.dispatch(&self.cores, now) {
+            let slot = self
+                .wake(local, now)
+                .attach(stream)
+                .expect("dispatched to a vacant core");
+            self.dispatcher.bind(local, slot, &task, now);
+        }
         for signal in exits.drain(..) {
             outbox.send(
                 self.hub,
@@ -765,14 +832,30 @@ impl SubShard {
             );
         }
         self.exit_buf = exits;
-        // 4. Cores issue; requests enter the uncore.
+        // 4. Due cores issue; requests enter the uncore. With cycle
+        //    skipping off every core is due every cycle, the reference the
+        //    wake set must reproduce.
         let mut buf = std::mem::take(&mut self.req_buf);
         for i in 0..self.cores.len() {
+            if self.cycle_skip && self.wake[i] > now {
+                continue;
+            }
+            #[cfg(test)]
+            {
+                self.ticks[i] += 1;
+            }
+            self.settle(i, now);
+            let core = &mut self.cores[i];
             buf.clear();
-            let core = self.sr * self.cores_per_subring + i;
-            self.cores[i].tick(now, &mut buf);
+            core.tick(now, &mut buf);
+            self.settled[i] = now + 1;
+            if core.has_retired() {
+                self.retiring.push(i);
+            }
+            self.wake[i] = core.next_event(now + 1).unwrap_or(Cycle::MAX);
+            let global = self.sr * self.cores_per_subring + i;
             for r in buf.drain(..) {
-                self.route_request(core, r, now, outbox);
+                self.route_request(global, r, now, outbox);
             }
         }
         self.req_buf = buf;
@@ -803,21 +886,20 @@ impl SubShard {
     }
 
     /// Event horizon over every simulated structure in the shard: cores
-    /// (stall ends, DMA, retirees), the sub-ring router (in-flight flits),
-    /// the MACT (open-line deadlines, slid past lockup windows), the
-    /// dispatcher (pending tasks able to bind), the direct-path sender
-    /// spoke, plus the fault machinery — the next scheduled core death and
-    /// the earliest retransmission due. Blocking requests in `outstanding`
-    /// need no term — their replies arrive as boundary messages, which the
-    /// engine accounts for via the inbox.
+    /// (their cached wake cycles: stall ends, DMA completions, retirees),
+    /// the sub-ring router (in-flight flits), the MACT (open-line
+    /// deadlines, slid past lockup windows), the dispatcher (pending tasks
+    /// able to bind), the direct-path sender spoke, plus the fault
+    /// machinery — the next scheduled core death and the earliest
+    /// retransmission due. Blocking requests in `outstanding` need no term
+    /// — their replies arrive as boundary messages, which the engine
+    /// accounts for via the inbox.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut h = None;
-        for core in &self.cores {
-            h = min_horizon(h, core.next_event(now));
-        }
+        let wake = self.wake.iter().copied().min().unwrap_or(Cycle::MAX);
+        let mut h = (wake != Cycle::MAX).then_some(wake);
         h = min_horizon(h, self.noc.next_event(now));
         h = min_horizon(h, self.mact.next_event(now));
-        let vacancy = self.cores.iter().any(TcgCore::has_vacancy);
+        let vacancy = self.dispatcher.queued() > 0 && self.cores.iter().any(TcgCore::has_vacancy);
         h = min_horizon(h, self.dispatcher.next_event(now, vacancy));
         if let Some(spoke) = self.to_mem.as_ref() {
             h = min_horizon(h, spoke.next_event(now));
@@ -829,15 +911,13 @@ impl SubShard {
         h
     }
 
-    /// Fast-forwards the quiescent shard across `[from, to)`: cores charge
-    /// their idle/stall pair-cycles, the router charges its idle-grant
-    /// bandwidth, the spoke saturates its credit. The MACT and dispatcher
-    /// mutate nothing on idle ticks, so they only contribute debug
-    /// assertions that the horizon really cleared them.
+    /// Fast-forwards the quiescent shard across `[from, to)`: the router
+    /// charges its idle-grant bandwidth, the spoke saturates its credit.
+    /// Cores are left lagging, to be charged when they next tick, are
+    /// mutated or are settled. The MACT and dispatcher mutate nothing on
+    /// idle ticks, so they only contribute debug assertions that the
+    /// horizon really cleared them.
     fn skip_window(&mut self, from: Cycle, to: Cycle) {
-        for core in &mut self.cores {
-            core.skip(from, to);
-        }
         self.noc.skip_idle(from, to);
         debug_assert_eq!(
             self.mact.ready_batches(),
@@ -1323,5 +1403,97 @@ impl Shard for ChipShard {
             ChipShard::Sub(s) => s.skip_window(from, to),
             ChipShard::Hub(h) => h.skip_window(from, to),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smarco_isa::{InstructionStream, Op, ProgramBuilder};
+    use smarco_sim::parallel::ParallelEngine;
+
+    use crate::tcg::CoreStats;
+
+    /// Runs a tiny chip for 3,000 cycles with sub-ring 0's core 2 issuing
+    /// a compute every cycle, which keeps the sub-ring stepped, while
+    /// core 0 stages 4 KB into its SPM and core 1 waits on a DRAM load,
+    /// then on six 250-cycle computes; core 3 holds no thread. Returns
+    /// sub-ring 0's settled core statistics, ticks per core and the
+    /// shard-cycles stepped.
+    fn run(cycle_skip: bool) -> (Vec<CoreStats>, Vec<u64>, u64) {
+        let mut config = SmarcoConfig::tiny();
+        config.cycle_skip = cycle_skip;
+        let space = AddressSpace::new(config.noc.cores(), config.dram.channels);
+        let mut shards: Vec<ChipShard> = (0..config.noc.subrings)
+            .map(|sr| ChipShard::Sub(Box::new(SubShard::new(sr, &config, space))))
+            .collect();
+        shards.push(ChipShard::Hub(Box::new(HubShard::new(&config))));
+        let mut engine = ParallelEngine::new(shards, config.noc.boundary_latency());
+        engine.set_skip_enabled(cycle_skip);
+        let spm = space.spm_base(0);
+        let streams: [Box<dyn InstructionStream + Send>; 3] = [
+            Box::new(
+                ProgramBuilder::at(0x1000)
+                    .op(Op::Dma {
+                        src: 0x50_000,
+                        dst: spm,
+                        bytes: 4096,
+                    })
+                    .op(Op::Sync)
+                    .op(Op::load(spm + 2048, 8))
+                    .build()
+                    .into_stream(),
+            ),
+            Box::new(
+                ProgramBuilder::at(0x1000)
+                    .op(Op::load(0x10_0000, 8))
+                    .ops([Op::Compute { latency: 250 }; 6])
+                    .build()
+                    .into_stream(),
+            ),
+            Box::new(
+                smarco_isa::stream::FnStream::new({
+                    let mut left = 2_000;
+                    move || {
+                        left -= 1;
+                        (left > 0).then(Op::compute)
+                    }
+                })
+                .with_segment(0x8000, 256),
+            ),
+        ];
+        let sub = engine.shards_mut()[0].as_sub_mut().unwrap();
+        for (local, stream) in streams.into_iter().enumerate() {
+            sub.attach(local, stream).unwrap();
+        }
+        engine.run_windowed(3_000, 1);
+        let now = engine.now();
+        let stepped = engine.stepped_cycles();
+        let sub = engine.shards_mut()[0].as_sub_mut().unwrap();
+        sub.settle_cores(now);
+        let left: Vec<_> = sub.cores().iter().map(TcgCore::live_threads).collect();
+        assert!(left.iter().all(|&n| n == 0), "threads left: {left:?}");
+        let stats = sub.cores().iter().map(|c| c.stats().clone()).collect();
+        (stats, sub.ticks.clone(), stepped)
+    }
+
+    #[test]
+    fn a_stepped_sub_ring_ticks_only_its_due_cores() {
+        let (reference, every, _) = run(false);
+        let (stats, ticks, stepped) = run(true);
+        assert_eq!(stats, reference, "the wake set changed core statistics");
+        assert!(
+            every.iter().all(|&t| t == 3_000),
+            "skip off ticks every core: {every:?}"
+        );
+        assert!(
+            ticks[2] >= 2_000 && stepped >= 2_000,
+            "sub-ring 0 steps while core 2 issues: {ticks:?}, {stepped} stepped"
+        );
+        assert!(
+            ticks[..2].iter().all(|&t| t <= 20),
+            "waiting cores ticked through their waits: {ticks:?}"
+        );
+        assert_eq!(ticks[3], 0, "a core without threads ticked");
     }
 }

@@ -500,6 +500,11 @@ impl TcgCore {
         std::mem::take(&mut self.retired)
     }
 
+    /// Whether threads exited since the last [`take_retired`](Self::take_retired).
+    pub fn has_retired(&self) -> bool {
+        !self.retired.is_empty()
+    }
+
     /// Whether the core has a vacant thread slot. A dead core never does:
     /// quarantine means the dispatcher stops binding work to it.
     pub fn has_vacancy(&self) -> bool {
@@ -507,10 +512,11 @@ impl TcgCore {
     }
 
     /// Event horizon: the earliest cycle at or after `now` at which the
-    /// core can act — hand out retired slots, progress its DMA engine, or
-    /// issue from a runnable pair once its stall window ends and its
-    /// compute run (see [`InstructionStream::compute_run`]) is through.
-    /// `None` when every pair is parked: blocked threads wake only through
+    /// core can act — hand out retired slots, complete the DMA engine's
+    /// head transfer, or issue from a runnable pair once its stall window
+    /// ends and its compute run (see [`InstructionStream::compute_run`]) is
+    /// through. `None` when every pair is parked and the DMA engine is
+    /// idle: blocked threads wake only through
     /// [`complete`](Self::complete)/[`dma_complete`](Self::dma_complete),
     /// which the owning shard accounts for via its inbox and uncore
     /// horizons.
@@ -518,12 +524,13 @@ impl TcgCore {
         if !self.alive {
             return None;
         }
-        if !self.retired.is_empty() || self.dma.is_busy() {
-            // Retirees are collected by the dispatcher next tick; the DMA
-            // engine makes per-call progress, so it must be ticked.
+        if !self.retired.is_empty() {
+            // Retirees are collected by the dispatcher next tick.
             return Some(now);
         }
-        let mut horizon: Option<Cycle> = None;
+        // The tick that completes the head transfer; the ones before it
+        // only count down, which `skip` charges.
+        let mut horizon = self.dma.ticks_to_complete().map(|left| now + left - 1);
         for p in 0..self.pairs.pairs() {
             let t = self.pairs.active_thread(p);
             if t >= self.slots.len() {
@@ -539,16 +546,18 @@ impl TcgCore {
 
     /// Fast-forwards the core across `[from, to)`, a range in which
     /// [`next_event`](Self::next_event) proved no pair can do anything but
-    /// wait or issue from its compute run. Every cycle is charged exactly
-    /// as [`tick`](Self::tick) would have charged it: one core cycle; for
-    /// a pair in a compute run, a stall pair-cycle until its stall end and
-    /// then one instruction per cycle, fetched from the shared segment; for
-    /// other runnable-but-stalled pairs a stall pair-cycle, and an idle
+    /// wait or issue from its compute run, and no DMA transfer completes.
+    /// Every cycle is charged exactly as [`tick`](Self::tick) would have
+    /// charged it: one core cycle and one DMA countdown tick; for a pair in
+    /// a compute run, a stall pair-cycle until its stall end and then one
+    /// instruction per cycle, fetched from the shared segment; for other
+    /// runnable-but-stalled pairs a stall pair-cycle, and an idle
     /// pair-cycle otherwise. O(1) per pair.
     ///
     /// Debug builds re-scan the real thread state — a `next_event`
     /// implementation reporting a too-late horizon panics here instead of
-    /// silently corrupting statistics.
+    /// silently corrupting statistics — and every build refuses to skip a
+    /// DMA completion.
     pub fn skip(&mut self, from: Cycle, to: Cycle) {
         debug_assert!(from < to, "empty skip range");
         if !self.alive {
@@ -558,11 +567,8 @@ impl TcgCore {
             self.retired.is_empty(),
             "cycle-skipped a core with retired threads to hand out"
         );
-        debug_assert!(
-            !self.dma.is_busy(),
-            "cycle-skipped a core with an active DMA engine"
-        );
         let cycles = to - from;
+        self.dma.skip(cycles);
         self.stats.cycles += cycles;
         for p in 0..self.pairs.pairs() {
             let t = self.pairs.active_thread(p);
@@ -1309,12 +1315,15 @@ mod tests {
         );
     }
 
+    /// Streams to attach, each at its cycle, in cycle order.
+    type Script = Vec<(Cycle, Box<dyn InstructionStream + Send>)>;
+
     /// Threads attached at scripted cycles: compute runs on every pair
     /// and on friends, pair 2's friend starting its run behind a
     /// `Compute { latency: 40 }`, two attaches while the shared segment is
     /// still being prefetched and one into a freed slot once it is
     /// resident.
-    fn run_issue_script() -> Vec<(Cycle, Box<dyn InstructionStream + Send>)> {
+    fn run_issue_script() -> Script {
         let mut stalled = true;
         let stall_40 = FnStream::new(move || {
             std::mem::take(&mut stalled).then_some(Op::Compute { latency: 40 })
@@ -1341,13 +1350,18 @@ mod tests {
         instructions: u64,
         /// Skips in which a pair waited out a stall, then issued its run.
         stall_then_run: u64,
+        /// Ticks in which the DMA engine only counted down: nothing
+        /// issued and no transfer completed.
+        dma_ticked: u64,
+        /// Skipped cycles in which the DMA engine counted down.
+        dma_skipped: u64,
     }
 
-    /// Runs the script on `c` until `end`, ticking every cycle or, with
+    /// Runs `script` on `c` until `end`, ticking every cycle or, with
     /// `by_horizon`, ticking only where `next_event` says the cycle
     /// matters (attach cycles count as events) and skipping otherwise.
-    fn drive(c: &mut TcgCore, end: Cycle, by_horizon: bool) -> SkipCharges {
-        let mut script = run_issue_script().into_iter().peekable();
+    fn drive(c: &mut TcgCore, script: Script, end: Cycle, by_horizon: bool) -> SkipCharges {
+        let mut script = script.into_iter().peekable();
         let mut charges = SkipCharges::default();
         let mut out = Vec::new();
         let mut now = 0;
@@ -1368,6 +1382,9 @@ mod tests {
                             && (now + 1..h).contains(&c.slots[t].stall_until)
                     });
                     let before = c.stats.instructions;
+                    if c.dma.is_busy() {
+                        charges.dma_skipped += h - now;
+                    }
                     c.skip(now, h);
                     // The engine caches horizons across skips, so a skip
                     // must leave the horizon where it was.
@@ -1382,11 +1399,16 @@ mod tests {
                     continue;
                 }
             }
+            let (busy, issued, completed) =
+                (c.dma.is_busy(), c.stats.instructions, c.dma.completed());
             c.tick(now, &mut out);
+            if busy && c.stats.instructions == issued && c.dma.completed() == completed {
+                charges.dma_ticked += 1;
+            }
             let _ = c.take_retired();
             now += 1;
         }
-        assert!(out.is_empty(), "compute-only threads emitted requests");
+        assert!(out.is_empty(), "scripted threads emitted requests");
         charges
     }
 
@@ -1409,8 +1431,8 @@ mod tests {
             for trace in [false, true] {
                 let mk = || if trace { traced(core()) } else { core() };
                 let (mut ticked, mut skipped) = (mk(), mk());
-                drive(&mut ticked, end, false);
-                let charges = drive(&mut skipped, end, true);
+                drive(&mut ticked, run_issue_script(), end, false);
+                let charges = drive(&mut skipped, run_issue_script(), end, true);
                 let at = format!("end {end}, tracing {trace}");
                 assert_eq!(ticked.stats(), skipped.stats(), "{at}");
                 assert_eq!(ticked.trace, skipped.trace, "{at}");
@@ -1433,6 +1455,128 @@ mod tests {
                 }
                 // Kill both mid-run: the ripped-out streams must continue
                 // identically.
+                let (a, b) = (ticked.fail(), skipped.fail());
+                assert_eq!(a.len(), b.len(), "{at}");
+                for ((ia, sa), (ib, sb)) in a.into_iter().zip(b) {
+                    assert_eq!(ia, ib, "{at}");
+                    assert_eq!(drain(sa), drain(sb), "slot {ia} at {at}");
+                }
+            }
+        }
+    }
+
+    /// A thread in the shared 1 KB segment at 0 running `ops`, then exit.
+    fn in_segment(ops: Vec<Op>) -> Box<dyn InstructionStream + Send> {
+        let mut ops = ops.into_iter();
+        Box::new(FnStream::new(move || ops.next()).with_segment(0, 1024))
+    }
+
+    /// A staged prologue: DMA `bytes` from DRAM into the SPM at `offset`,
+    /// wait for it, then `loads` SPM loads and computes over the staged
+    /// range.
+    fn staged(offset: u64, bytes: u32, loads: u64) -> Box<dyn InstructionStream + Send> {
+        let spm = space().spm_base(0) + offset;
+        let mut ops = vec![
+            Op::Dma {
+                src: 0x50_000 + offset,
+                dst: spm,
+                bytes,
+            },
+            Op::Sync,
+        ];
+        for i in 0..loads {
+            ops.push(Op::load(spm + (i * 40) % u64::from(bytes - 8), 8));
+            ops.push(Op::Compute { latency: 3 });
+        }
+        in_segment(ops)
+    }
+
+    /// Staged threads on every pair, their friends issuing branches and
+    /// computes through the L1I while the shared segment is prefetched, a
+    /// thread with two transfers before its `Sync`, and a late staged
+    /// attach into a freed slot.
+    fn dma_script() -> Script {
+        let friend = |n: usize| {
+            let ops = (0..n)
+                .map(|i| match i % 3 {
+                    0 => Op::Branch { mispredicted: true },
+                    _ => Op::compute(),
+                })
+                .collect();
+            in_segment(ops)
+        };
+        let spm = space().spm_base(0);
+        let two_transfers = in_segment(vec![
+            Op::Dma {
+                src: 0x60_000,
+                dst: spm + 24_576,
+                bytes: 777,
+            },
+            Op::Dma {
+                src: 0x61_000,
+                dst: spm + 26_624,
+                bytes: 1_500,
+            },
+            Op::Sync,
+            Op::load(spm + 26_700, 8),
+        ]);
+        vec![
+            (0, staged(0, 4_096, 20)),
+            (0, staged(4_096, 2_048, 10)),
+            (0, staged(8_192, 1_000, 5)),
+            (0, two_transfers),
+            (0, friend(60)),
+            (0, friend(30)),
+            (0, friend(5)),
+            (0, staged(12_288, 3_000, 40)),
+            (900, staged(16_384, 2_500, 8)),
+        ]
+    }
+
+    #[test]
+    fn dma_horizons_match_per_cycle_dma() {
+        for end in [40, 300, 700, 1_000, 3_000] {
+            for trace in [false, true] {
+                let mk = || {
+                    let mut c = core();
+                    if trace {
+                        c.enable_trace(TraceConfig {
+                            capacity: 1 << 16,
+                            retire_sample: 4,
+                        });
+                    }
+                    c
+                };
+                let (mut ticked, mut skipped) = (mk(), mk());
+                let reference = drive(&mut ticked, dma_script(), end, false);
+                let charges = drive(&mut skipped, dma_script(), end, true);
+                let at = format!("end {end}, tracing {trace}");
+                assert_eq!(ticked.stats(), skipped.stats(), "{at}");
+                assert_eq!(ticked.trace, skipped.trace, "{at}");
+                assert_eq!(ticked.spm().stats(), skipped.spm().stats(), "{at}");
+                assert_eq!(
+                    ticked.dma.ticks_to_complete(),
+                    skipped.dma.ticks_to_complete(),
+                    "{at}"
+                );
+                assert_eq!(charges.instructions, 0, "no thread has a compute run: {at}");
+                assert!(
+                    charges.dma_skipped * 10 >= reference.dma_ticked * 9,
+                    "skips charged {} of {} DMA-only cycles: {at}",
+                    charges.dma_skipped,
+                    reference.dma_ticked
+                );
+                for (a, b) in ticked.slots.iter().zip(&skipped.slots) {
+                    assert_eq!(
+                        (a.state, a.stall_until, a.instructions, a.pending_dma),
+                        (b.state, b.stall_until, b.instructions, b.pending_dma),
+                        "{at}"
+                    );
+                }
+                // Kill both, mid-transfer before the drain.
+                if end < 3_000 {
+                    assert!(ticked.dma.is_busy(), "no transfer in flight at {at}");
+                }
                 let (a, b) = (ticked.fail(), skipped.fail());
                 assert_eq!(a.len(), b.len(), "{at}");
                 for ((ia, sa), (ib, sb)) in a.into_iter().zip(b) {
@@ -1476,7 +1620,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "stall end")]
     fn too_late_horizon_is_caught_by_skip() {
-        // No iseg prefetch: its DMA would trip the (earlier) DMA assert.
+        // No iseg prefetch: its DMA completes inside the range and would
+        // trip the (earlier) DMA check.
         let mut c = TcgCore::new(
             0,
             TcgConfig {

@@ -41,6 +41,8 @@ pub struct ThreadSlot {
     /// [`InstructionStream::compute_run`]): asked once at attach and
     /// counted down by every instruction taken since.
     run: u64,
+    /// The stream's instruction segment, asked once at attach.
+    segment: Option<(u64, u64)>,
 }
 
 impl std::fmt::Debug for ThreadSlot {
@@ -50,6 +52,7 @@ impl std::fmt::Debug for ThreadSlot {
             .field("stall_until", &self.stall_until)
             .field("instructions", &self.instructions)
             .field("run", &self.run)
+            .field("segment", &self.segment)
             .finish()
     }
 }
@@ -70,12 +73,14 @@ impl ThreadSlot {
             pending_dma: 0,
             instructions: 0,
             run: 0,
+            segment: None,
         }
     }
 
     /// Attaches a stream, making the slot runnable.
     pub fn attach(&mut self, stream: Box<dyn InstructionStream + Send>) {
         self.run = stream.compute_run();
+        self.segment = stream.segment();
         self.stream = Some(stream);
         self.state = ThreadState::Runnable;
         self.stall_until = 0;
@@ -84,9 +89,7 @@ impl ThreadSlot {
 
     /// The attached stream's instruction segment, if any.
     pub fn segment(&self) -> Option<(u64, u64)> {
-        self.stream
-            .as_ref()
-            .and_then(smarco_isa::InstructionStream::segment)
+        self.segment
     }
 
     /// Fetches the next instruction; `None` ends the thread.

@@ -14,7 +14,8 @@ pub trait InstructionStream {
     ///
     /// Used for the shared-instruction-segment optimization (§3.1.2): when
     /// co-resident threads report the same segment, the core DMA-prefetches
-    /// it into SPM and instruction fetch always hits.
+    /// it into SPM and instruction fetch always hits. A core asks once, at
+    /// attach, so the answer must not change over the stream's life.
     fn segment(&self) -> Option<(u64, u64)> {
         None
     }
