@@ -1,9 +1,10 @@
-//! Host-side scaling of the sharded simulator: wall-clock speedup of
-//! parallel PDES runs over the sequential one on Fig. 22's workload,
-//! plus the cycle-skip study on the memory-intensive benchmark.
-//! Pass `--scale paper` for the full 256-core chip; `--parallel N` adds
-//! another worker count to the default 1/2/4 sweep. Writes the per-run
-//! perf records to `BENCH_cycle_skip.json`, or to `--json <path>`.
+//! The sharded simulator across PDES worker counts on Fig. 22's
+//! workload, plus the cycle-skip study on the memory-intensive benchmark.
+//! Every worker count must reproduce the first run's report and its
+//! stepped and skipped shard-cycles. Pass `--scale paper` for the full
+//! 256-core chip; `--parallel N` adds another worker count to the default
+//! 1/2/4 sweep. Writes the per-run records to `BENCH_cycle_skip.json`,
+//! or to `--json <path>`.
 //!
 //! Pass `--faults <seed>` to run chaos mode instead: TeraSort through the
 //! hardware dispatcher, healthy and under a seeded fault plan, printing
@@ -30,13 +31,13 @@ fn main() {
     if !counts.contains(&args.parallel) {
         counts.push(args.parallel);
     }
-    let bench = smarco_bench::figures::speedup::run(args.scale, &counts);
-    println!("{bench}");
+    let report = smarco_bench::cycle_skip::run(args.scale, &counts);
+    println!("{report}");
     let path = args.json.as_deref().unwrap_or(BENCH_FILE);
-    match bench.skip.write(path.as_ref()) {
+    match report.write(path.as_ref()) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => {
-            eprintln!("smarco-bench: writing the perf records failed: {e}");
+            eprintln!("smarco-bench: writing the cycle-skip records failed: {e}");
             std::process::exit(2);
         }
     }

@@ -38,10 +38,6 @@ pub struct BenchArgs {
     pub corpus: bool,
     /// `--explain SLxxxx`: print a diagnostic code's rationale (lint).
     pub explain: Option<String>,
-    /// `--gate <baseline.json>`: perf-regression gate mode (profile).
-    pub gate: Option<String>,
-    /// `--write-baseline <path>`: (re)write the perf baseline (profile).
-    pub write_baseline: Option<String>,
     /// `--smoke`: CI smoke mode — tiny run, assert liveness, exit 0.
     pub smoke: bool,
     /// `--chips N`: cluster size for the rack bench; zero/garbage
@@ -69,8 +65,6 @@ impl Default for BenchArgs {
             deny_warnings: false,
             corpus: false,
             explain: None,
-            gate: None,
-            write_baseline: None,
             smoke: false,
             chips: 4,
             ops: 600,
@@ -137,14 +131,6 @@ impl BenchArgs {
                 }
                 "--explain" => {
                     out.explain = Some(value!("--explain").clone());
-                    i += 2;
-                }
-                "--gate" => {
-                    out.gate = Some(value!("--gate").clone());
-                    i += 2;
-                }
-                "--write-baseline" => {
-                    out.write_baseline = Some(value!("--write-baseline").clone());
                     i += 2;
                 }
                 "--chips" => {
@@ -272,6 +258,9 @@ mod tests {
         assert_eq!(a.faults, None);
         assert_eq!(a.scale, Scale::Quick);
         assert_eq!(a.chips, 4);
+        // Zero workers falls back to sequential too.
+        let b = BenchArgs::parse_from(&argv(&["--parallel", "0"])).unwrap();
+        assert_eq!(b.parallel, 1);
     }
 
     #[test]
@@ -290,12 +279,8 @@ mod tests {
     }
 
     #[test]
-    fn explain_and_profile_modes_carry_their_values() {
+    fn explain_carries_its_value() {
         let a = BenchArgs::parse_from(&argv(&["--explain", "SL0460"])).unwrap();
         assert_eq!(a.explain.as_deref(), Some("SL0460"));
-        let b = BenchArgs::parse_from(&argv(&["--gate", "b.json"])).unwrap();
-        assert_eq!(b.gate.as_deref(), Some("b.json"));
-        let c = BenchArgs::parse_from(&argv(&["--write-baseline", "b.json"])).unwrap();
-        assert_eq!(c.write_baseline.as_deref(), Some("b.json"));
     }
 }

@@ -14,6 +14,5 @@ pub mod fig21;
 pub mod fig22;
 pub mod fig23;
 pub mod fig26;
-pub mod speedup;
 pub mod table1;
 pub mod table2;

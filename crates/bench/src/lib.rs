@@ -14,6 +14,12 @@
 //!
 //! The [`Scale`] knob switches between `Quick` (seconds; CI and tests) and
 //! `Paper` (minutes; fuller configurations).
+//!
+//! The `scale`, `noc_sweep` and `rack` binaries run the sweeps in
+//! [`cycle_skip`], [`noc_sweep`] and [`rack`] and write only simulated
+//! numbers to their `BENCH_*.json` files, so a rerun reproduces them byte
+//! for byte. How fast the simulator runs on the host is measured in one
+//! place, the `perf` benchmark in `perfbench/`.
 
 #![warn(missing_docs)]
 
@@ -33,16 +39,24 @@ pub mod cli;
 pub mod cycle_skip;
 pub mod figures;
 pub mod harness;
-pub mod host;
 pub mod noc_sweep;
 pub mod paper;
-pub mod profile;
 pub mod rack;
 pub mod scale;
-pub mod timing;
 
 pub use cli::BenchArgs;
 pub use scale::Scale;
+
+/// The fields a `BENCH_*.json` file opens with: the PDES worker counts
+/// its sweep ran, whether cycle skipping was on, and the scale.
+fn sweep_fields(worker_sweep: &[usize], cycle_skip: bool, scale: Scale) -> String {
+    let sweep: Vec<String> = worker_sweep.iter().map(usize::to_string).collect();
+    format!(
+        "\"worker_sweep\":[{}],\"cycle_skip\":{cycle_skip},\"scale\":\"{}\"",
+        sweep.join(","),
+        scale.name()
+    )
+}
 
 /// Formats a row of `(label, value)` pairs the way the binaries print.
 pub fn format_row(label: &str, values: &[(&str, f64)]) -> String {

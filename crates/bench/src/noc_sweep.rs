@@ -4,10 +4,10 @@
 //! (`ring`, `mesh`) across all six HTC benchmarks and writes the
 //! resulting latency/utilization matrix to [`BENCH_FILE`] in the working
 //! directory. The file gives the repo a trajectory for the backend
-//! comparison the same way `BENCH_cycle_skip.json` tracks the skipper.
+//! comparison the same way `BENCH_cycle_skip.json` tracks the skipper;
+//! every field is simulated, so a rerun reproduces it byte for byte.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use smarco_core::chip::SmarcoSystem;
 use smarco_core::config::SmarcoConfig;
@@ -15,7 +15,6 @@ use smarco_noc::NocBackendKind;
 use smarco_sim::rng::SimRng;
 use smarco_workloads::{Benchmark, HtcStream};
 
-use crate::host::HostInfo;
 use crate::Scale;
 
 /// Default output filename, written to the working directory.
@@ -48,8 +47,6 @@ pub struct NocSweepEntry {
     pub main_ring_utilization: f64,
     /// Sub-ring payload utilization over offered capacity.
     pub subring_utilization: f64,
-    /// Host wall-clock seconds for the run.
-    pub wall_seconds: f64,
 }
 
 impl NocSweepEntry {
@@ -57,8 +54,7 @@ impl NocSweepEntry {
         format!(
             "{{\"backend\":\"{}\",\"bench\":\"{}\",\"cycles\":{},\
              \"ipc\":{:.6},\"mem_latency\":{:.4},\
-             \"main_ring_utilization\":{:.6},\"subring_utilization\":{:.6},\
-             \"wall_seconds\":{:.6}}}",
+             \"main_ring_utilization\":{:.6},\"subring_utilization\":{:.6}}}",
             self.backend,
             self.bench,
             self.cycles,
@@ -66,7 +62,6 @@ impl NocSweepEntry {
             self.mem_latency,
             self.main_ring_utilization,
             self.subring_utilization,
-            self.wall_seconds,
         )
     }
 }
@@ -74,20 +69,21 @@ impl NocSweepEntry {
 /// The full sweep destined for [`BENCH_FILE`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NocSweepReport {
-    /// Host context of the sweep.
-    pub host: HostInfo,
+    /// Experiment scale of the sweep.
+    pub scale: Scale,
     /// Entries in run order (backend-major, then benchmark).
     pub entries: Vec<NocSweepEntry>,
 }
 
 impl NocSweepReport {
-    /// Serialises the report as a JSON object with the host block first
-    /// (hand-rolled: the workspace is dependency-free).
+    /// Serialises the report as a JSON object, sweep fields first
+    /// (hand-rolled: the workspace is dependency-free). Every cell runs
+    /// `SmarcoConfig::tiny()`'s one worker with cycle skipping on.
     pub fn to_json(&self) -> String {
         let body: Vec<String> = self.entries.iter().map(NocSweepEntry::to_json).collect();
         format!(
-            "{{\"host\":{},\n \"entries\":[\n  {}\n]}}\n",
-            self.host.to_json(),
+            "{{{},\n \"entries\":[\n  {}\n]}}\n",
+            crate::sweep_fields(&[1], true, self.scale),
             body.join(",\n  ")
         )
     }
@@ -149,7 +145,7 @@ pub fn sweep(scale: Scale) -> NocSweepReport {
 pub fn sweep_backend(scale: Scale, only: Option<&str>) -> NocSweepReport {
     let instrs = scale.scaled(300, 3_000);
     let mut report = NocSweepReport {
-        host: HostInfo::capture(&[1], true, scale),
+        scale,
         entries: Vec::new(),
     };
     for backend in contenders() {
@@ -158,7 +154,6 @@ pub fn sweep_backend(scale: Scale, only: Option<&str>) -> NocSweepReport {
         }
         for bench in Benchmark::ALL {
             let mut sys = loaded(backend, bench, instrs);
-            let start = Instant::now();
             let r = sys.run(MAX_CYCLES);
             if !sys.is_done() {
                 eprintln!(
@@ -176,7 +171,6 @@ pub fn sweep_backend(scale: Scale, only: Option<&str>) -> NocSweepReport {
                 mem_latency: r.mem_latency.mean(),
                 main_ring_utilization: r.main_ring_utilization,
                 subring_utilization: r.subring_utilization,
-                wall_seconds: start.elapsed().as_secs_f64(),
             });
         }
     }
@@ -196,19 +190,22 @@ mod tests {
             mem_latency: 42.25,
             main_ring_utilization: 0.125,
             subring_utilization: 0.25,
-            wall_seconds: 0.5,
         }
     }
 
     #[test]
     fn json_shape_matches_the_other_bench_files() {
         let r = NocSweepReport {
-            host: HostInfo::capture(&[1], true, Scale::Quick),
+            scale: Scale::Quick,
             entries: vec![entry()],
         };
         let j = r.to_json();
-        assert!(j.starts_with("{\"host\":{"), "{j}");
-        assert!(j.contains("\"entries\":["), "{j}");
+        assert!(
+            j.starts_with(
+                "{\"worker_sweep\":[1],\"cycle_skip\":true,\"scale\":\"quick\",\n \"entries\":["
+            ),
+            "{j}"
+        );
         assert!(j.contains("\"backend\":\"mesh\""), "{j}");
         assert!(j.contains("\"bench\":\"wordcount\""), "{j}");
         assert!(j.contains("\"mem_latency\":42.2500"), "{j}");

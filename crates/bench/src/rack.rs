@@ -7,15 +7,14 @@
 //! the cluster's aggregate issue width, so `1.0` means offered work
 //! equals capacity), runs it to completion, and records the end-to-end
 //! latency tail (p50/p99/p99.9) plus the SLO miss rate. The JSON file
-//! follows the other bench writers: one shared [`HostInfo`] block, then
-//! one entry per cell.
+//! follows the other bench writers: the sweep's fields, then one entry
+//! per cell.
 //!
-//! Everything simulated is bit-deterministic — reruns differ only in
-//! the `wall_seconds` columns.
+//! Every field is simulated and bit-deterministic, so a rerun
+//! reproduces the file byte for byte.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use smarco_core::cluster::{
     BalancePolicy, Cluster, ClusterReport, FabricConfig, SizeDistribution, TrafficProfile,
@@ -24,7 +23,6 @@ use smarco_core::config::SmarcoConfig;
 use smarco_core::fault::FaultPlan;
 use smarco_sim::Cycle;
 
-use crate::host::HostInfo;
 use crate::Scale;
 
 /// Default output filename, written to the working directory.
@@ -96,8 +94,6 @@ pub struct RackEntry {
     pub p999: f64,
     /// Simulated cycles to drain the cell.
     pub cycles: Cycle,
-    /// Host wall-clock seconds for the cell.
-    pub wall_seconds: f64,
 }
 
 impl RackEntry {
@@ -106,7 +102,7 @@ impl RackEntry {
             "{{\"policy\":\"{}\",\"utilization\":{:.2},\"per_kcycle\":{:.4},\
              \"offered\":{},\"completed\":{},\"slo_misses\":{},\
              \"slo_miss_rate\":{:.6},\"p50\":{:.1},\"p99\":{:.1},\
-             \"p999\":{:.1},\"cycles\":{},\"wall_seconds\":{:.6}}}",
+             \"p999\":{:.1},\"cycles\":{}}}",
             self.policy,
             self.utilization,
             self.per_kcycle,
@@ -118,7 +114,6 @@ impl RackEntry {
             self.p99,
             self.p999,
             self.cycles,
-            self.wall_seconds,
         )
     }
 }
@@ -126,8 +121,10 @@ impl RackEntry {
 /// The full sweep destined for [`BENCH_FILE`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RackReport {
-    /// Host context of the sweep.
-    pub host: HostInfo,
+    /// PDES workers driving each cell's chip shards.
+    pub workers: usize,
+    /// Experiment scale of the sweep.
+    pub scale: Scale,
     /// Chips in the cluster every cell ran on.
     pub chips: usize,
     /// End-to-end SLO the miss columns score against, in cycles.
@@ -139,17 +136,18 @@ pub struct RackReport {
 }
 
 impl RackReport {
-    /// Serialises the report as a JSON object with the host block first
-    /// (hand-rolled: the workspace is dependency-free).
+    /// Serialises the report as a JSON object, sweep fields first
+    /// (hand-rolled: the workspace is dependency-free). The rack's chips
+    /// always skip cycles.
     pub fn to_json(&self) -> String {
         let body: Vec<String> = self.entries.iter().map(RackEntry::to_json).collect();
         let faults = self
             .faults
             .map_or_else(|| "null".to_string(), |s| s.to_string());
         format!(
-            "{{\"host\":{},\n \"chips\":{},\"slo\":{},\"faults\":{},\n \
+            "{{{},\n \"chips\":{},\"slo\":{},\"faults\":{},\n \
              \"entries\":[\n  {}\n]}}\n",
-            self.host.to_json(),
+            crate::sweep_fields(&[self.workers], true, self.scale),
             self.chips,
             self.slo,
             faults,
@@ -223,7 +221,7 @@ fn run_cell(
     workers: usize,
     stream: Cycle,
     faults: Option<u64>,
-) -> (f64, ClusterReport, f64) {
+) -> (f64, ClusterReport) {
     let cfg = SmarcoConfig::tiny();
     let per_kcycle = rate_for(utilization, chips, &cfg);
     let requests = ((per_kcycle * stream as f64 / 1000.0).round() as u64).max(1);
@@ -241,7 +239,6 @@ fn run_cell(
         builder = builder.fault_plan(0, FaultPlan::chaos(seed, &cfg));
     }
     let mut cluster = crate::harness::or_exit(builder.build());
-    let start = Instant::now();
     let report = cluster.run(MAX_CYCLES);
     if !cluster.is_done() {
         eprintln!(
@@ -252,7 +249,7 @@ fn run_cell(
         );
         std::process::exit(3);
     }
-    (per_kcycle, report, start.elapsed().as_secs_f64())
+    (per_kcycle, report)
 }
 
 /// Runs the policies × load-points matrix on a `chips`-chip cluster.
@@ -261,7 +258,8 @@ fn run_cell(
 pub fn sweep(scale: Scale, chips: usize, workers: usize, faults: Option<u64>) -> RackReport {
     let stream = stream_cycles(scale);
     let mut report = RackReport {
-        host: HostInfo::capture(&[workers], true, scale),
+        workers,
+        scale,
         chips,
         slo: SLO,
         faults,
@@ -269,8 +267,7 @@ pub fn sweep(scale: Scale, chips: usize, workers: usize, faults: Option<u64>) ->
     };
     for policy in BalancePolicy::ALL {
         for &utilization in utilizations(scale) {
-            let (per_kcycle, r, wall_seconds) =
-                run_cell(policy, utilization, chips, workers, stream, faults);
+            let (per_kcycle, r) = run_cell(policy, utilization, chips, workers, stream, faults);
             report.entries.push(RackEntry {
                 policy: policy.name(),
                 utilization,
@@ -283,7 +280,6 @@ pub fn sweep(scale: Scale, chips: usize, workers: usize, faults: Option<u64>) ->
                 p99: r.latency.p99(),
                 p999: r.latency.p999(),
                 cycles: r.cycles,
-                wall_seconds,
             });
         }
     }
@@ -348,7 +344,8 @@ mod tests {
     #[test]
     fn json_shape_matches_the_other_bench_files() {
         let r = RackReport {
-            host: HostInfo::capture(&[4], true, Scale::Quick),
+            workers: 4,
+            scale: Scale::Quick,
             chips: 4,
             slo: SLO,
             faults: Some(42),
@@ -364,11 +361,13 @@ mod tests {
                 p99: 900.0,
                 p999: 1800.0,
                 cycles: 40_000,
-                wall_seconds: 0.25,
             }],
         };
         let j = r.to_json();
-        assert!(j.starts_with("{\"host\":{"), "{j}");
+        assert!(
+            j.starts_with("{\"worker_sweep\":[4],\"cycle_skip\":true,\"scale\":\"quick\",\n"),
+            "{j}"
+        );
         assert!(j.contains("\"chips\":4,\"slo\":5000,\"faults\":42"), "{j}");
         assert!(j.contains("\"policy\":\"laxity_aware\""), "{j}");
         assert!(j.contains("\"slo_miss_rate\":0.020000"), "{j}");

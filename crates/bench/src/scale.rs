@@ -33,12 +33,6 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BenchArgs;
-
-    fn parse(s: &[&str]) -> BenchArgs {
-        let argv: Vec<String> = s.iter().map(|a| (*a).to_string()).collect();
-        BenchArgs::parse_from(&argv).expect("known flags")
-    }
 
     #[test]
     fn scaled_picks_by_variant() {
@@ -46,29 +40,5 @@ mod tests {
         assert_eq!(Scale::Paper.scaled(10, 100), 100);
         assert_eq!(Scale::default(), Scale::Quick);
         assert_eq!(Scale::Paper.name(), "paper");
-    }
-
-    #[test]
-    fn parallel_flag_parsed() {
-        assert_eq!(parse(&["bin"]).parallel, 1);
-        assert_eq!(parse(&["bin", "--parallel", "4"]).parallel, 4);
-        assert_eq!(
-            parse(&["bin", "--scale", "paper", "--parallel", "2"]).parallel,
-            2
-        );
-        // Garbage and zero fall back to sequential.
-        assert_eq!(parse(&["bin", "--parallel", "zero"]).parallel, 1);
-        assert_eq!(parse(&["bin", "--parallel", "0"]).parallel, 1);
-    }
-
-    #[test]
-    fn faults_flag_parsed() {
-        assert_eq!(parse(&["bin"]).faults, None);
-        assert_eq!(parse(&["bin", "--faults", "42"]).faults, Some(42));
-        assert_eq!(
-            parse(&["bin", "--scale", "quick", "--faults", "7"]).faults,
-            Some(7)
-        );
-        assert_eq!(parse(&["bin", "--faults", "nope"]).faults, None);
     }
 }
